@@ -8,17 +8,14 @@ class BddError(Exception):
 class SpaceLimitExceeded(BddError):
     """The unique table grew past the configured node limit.
 
-    The hybrid fault simulator (Section IV.A of the paper) catches this
-    to fall back to three-valued simulation for a few frames.
-
-    ``fault_key`` stays None for overflows in the fault-free symbolic
-    simulation; the symbolic fault simulator tags the exception with
-    the offending fault's key when the overflow happened while
-    propagating a single fault, which lets the campaign runtime demote
-    just that fault instead of abandoning the whole session.
+    The campaign frame loop, and with it the hybrid fault simulator
+    (Section IV.A of the paper), catches this and applies the paper's
+    protocol to the whole group of faults sharing the manager: garbage
+    collection, then a three-valued interlude of a few frames.  The
+    limit bounds the *shared* table, so an overflow is evidence about
+    the group, never about the fault that allocated the last node; no
+    fault is demoted for it.
     """
-
-    fault_key = None
 
     def __init__(self, limit, requested):
         self.limit = limit
@@ -35,9 +32,10 @@ class MemoryPressureExceeded(SpaceLimitExceeded):
     Raised by the pressure monitor when the cheap relief rungs (cache
     eviction, garbage collection, reorder rescue) could not bring the
     resident set back under the hard watermark.  Subclassing
-    :class:`SpaceLimitExceeded` means every existing surrender path —
-    the hybrid three-valued fallback, the campaign's per-fault demotion
-    — handles memory pressure exactly like a node-limit overflow.
+    :class:`SpaceLimitExceeded` means the campaign frame loop handles
+    memory pressure exactly like a node-limit overflow: evidence about
+    the whole group, answered with garbage collection and then a
+    three-valued interlude, never with a per-fault demotion.
 
     ``limit`` is the hard watermark in bytes, ``requested`` the observed
     resident set size.

@@ -31,7 +31,6 @@ from repro.circuit.bench import load_bench
 from repro.circuit.compile import compile_circuit
 from repro.circuit.stats import circuit_stats
 from repro.circuits.registry import PAPER_ROWS, available, get_circuit
-from repro.engines.parallel_fault_sim import fault_simulate_3v_parallel
 from repro.faults.collapse import collapse_faults
 from repro.faults.status import FaultSet
 from repro.reporting import coverage_report
@@ -44,7 +43,7 @@ from repro.sequences.io import (
 )
 from repro.sequences.random_seq import random_sequence_for
 from repro.symbolic.evaluation import symbolic_output_sequence
-from repro.symbolic.hybrid import DEFAULT_NODE_LIMIT, hybrid_fault_simulate
+from repro.symbolic.hybrid import DEFAULT_NODE_LIMIT
 from repro.xred.idxred import eliminate_x_redundant
 
 
@@ -314,49 +313,6 @@ def _render_campaign(args, compiled, fault_set, sequence, result):
     return 0
 
 
-def _simulate_campaign(args):
-    """The simulate command routed through the campaign runtime
-    (--deadline / --checkpoint / --workers)."""
-    from repro.runtime import SignalGuard, run_campaign
-
-    if args.strategy == "all":
-        raise ValueError(
-            "--deadline/--checkpoint/--workers run a single campaign; "
-            "pick one strategy, not 'all'"
-        )
-    compiled, fault_set = _prepare(args.circuit)
-    sequence = _get_sequence(compiled, args)
-    obs = _CliObservability(args)
-    obs_kwargs = obs.start(
-        sharded=args.workers is not None,
-        circuit=args.circuit,
-        strategy=args.strategy,
-        frames=len(sequence),
-        seed=None if args.sequence else args.seed,
-        workers=args.workers,
-    )
-    try:
-        with SignalGuard() as guard:
-            result = run_campaign(
-                compiled, sequence, fault_set,
-                strategy=args.strategy,
-                node_limit=args.node_limit,
-                governor=_build_governor(args),
-                checkpoint_path=args.checkpoint,
-                signal_guard=guard,
-                circuit_spec=args.circuit,
-                xred=not args.no_xred,
-                pressure=_pressure_config(args),
-                **_disk_kwargs(args),
-                **obs_kwargs,
-                **_fabric_kwargs(args),
-                **_audit_kwargs(args),
-            )
-    finally:
-        obs.finish()
-    return _render_campaign(args, compiled, fault_set, sequence, result)
-
-
 def _resume_any(args, guard, obs):
     """Resume either checkpoint flavor: campaign (frame snapshots) or
     fabric (completed shards) — sniffed from the file itself."""
@@ -473,44 +429,71 @@ def cmd_campaign(args):
 
 
 def cmd_simulate(args):
-    if (
+    """The fault-simulation flow: one campaign per strategy.
+
+    ``--strategy all`` runs SOT, then rMOT, then MOT over one fault set
+    (each pass sees only what the earlier ones left undetected).  The
+    options that shape a single campaign's run — deadline, checkpoint,
+    workers, audit, pressure, disk, trace/metrics/progress — need a
+    single strategy; none of them changes the algorithm.
+    """
+    from repro.runtime import SignalGuard, run_campaign
+
+    obs = _CliObservability(args)
+    strategies = (
+        ("SOT", "rMOT", "MOT") if args.strategy == "all"
+        else (args.strategy,)
+    )
+    if len(strategies) > 1 and (
         args.deadline is not None
         or args.checkpoint
         or args.workers is not None
         or args.audit != "off"
         or _pressure_config(args) is not None
         or _disk_kwargs(args)
-        or _CliObservability(args).active
+        or obs.active
     ):
-        return _simulate_campaign(args)
+        raise ValueError(
+            "--deadline/--checkpoint/--workers and the other run options "
+            "shape a single campaign; pick one strategy, not 'all'"
+        )
     compiled, fault_set = _prepare(args.circuit)
     sequence = _get_sequence(compiled, args)
-    if not args.no_xred:
-        eliminate_x_redundant(compiled, sequence, fault_set)
-    fault_simulate_3v_parallel(compiled, sequence, fault_set)
-    exact = False
-    if args.strategy != "3v":
-        strategies = (
-            ("SOT", "rMOT", "MOT")
-            if args.strategy == "all"
-            else (args.strategy,)
-        )
-        exact = True
-        for strategy in strategies:
-            result = hybrid_fault_simulate(
-                compiled, sequence, fault_set, strategy=strategy,
-                node_limit=args.node_limit,
-            )
-            exact = exact and result.exact
-    report = coverage_report(
-        compiled, fault_set, sequence,
-        exact_mot=exact and args.strategy in ("MOT", "all"),
+    obs_kwargs = obs.start(
+        sharded=args.workers is not None,
+        circuit=args.circuit,
+        strategy=args.strategy,
+        frames=len(sequence),
+        seed=None if args.sequence else args.seed,
+        workers=args.workers,
     )
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.render())
-    return 0
+    try:
+        with SignalGuard() as guard:
+            for index, strategy in enumerate(strategies):
+                result = run_campaign(
+                    compiled, sequence, fault_set,
+                    strategy=strategy,
+                    node_limit=args.node_limit,
+                    governor=_build_governor(args),
+                    checkpoint_path=args.checkpoint,
+                    signal_guard=guard,
+                    circuit_spec=args.circuit,
+                    # the pre-passes classify once, before the first pass
+                    xred=index == 0 and not args.no_xred,
+                    pre_pass_3v=index == 0,
+                    pressure=_pressure_config(args),
+                    **_disk_kwargs(args),
+                    **obs_kwargs,
+                    **_fabric_kwargs(args),
+                    **_audit_kwargs(args),
+                )
+                if result.stopped != "completed":
+                    break
+    finally:
+        obs.finish()
+    # an exact MOT pass proves every fault it leaves undetected
+    # undetectable, whatever the earlier passes of 'all' did
+    return _render_campaign(args, compiled, fault_set, sequence, result)
 
 
 def cmd_evaluate(args):

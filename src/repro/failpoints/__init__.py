@@ -304,17 +304,17 @@ CATALOG = (
          "durable state"),
     Site("bdd.alloc", "bdd",
          "MemoryError at the Nth BDD node allocation",
-         "surrender through the demotion ladder (3v fallback) — "
+         "group surrender: GC-retry, then a 3v interlude — "
          "conservative verdicts, never invented detections"),
     Site("pressure.evict", "bdd.pressure",
          "the cache-eviction relief rung fails",
-         "MemoryPressureExceeded surrender through existing demotion"),
+         "MemoryPressureExceeded surrender through the group protocol"),
     Site("pressure.gc", "bdd.pressure",
          "the frame-boundary GC relief rung fails",
-         "MemoryPressureExceeded surrender through existing demotion"),
+         "MemoryPressureExceeded surrender through the group protocol"),
     Site("pressure.rescue", "bdd.pressure",
          "the reorder-rescue relief rung fails",
-         "MemoryPressureExceeded surrender through existing demotion"),
+         "MemoryPressureExceeded surrender through the group protocol"),
     Site("fabric.heartbeat.drop", "runtime.fabric",
          "a worker heartbeat is silently dropped",
          "verdicts unchanged; at worst the hang watchdog kills and the "

@@ -29,7 +29,7 @@ class ProgressLine:
     def __init__(self, stream=None, interval=0.2):
         self._stream = stream if stream is not None else sys.stderr
         self._interval = interval
-        self._last = 0.0
+        self._last = None  # no line rendered yet
         self._tty = bool(getattr(self._stream, "isatty", lambda: False)())
         self._width = 0
         self._started = time.monotonic()
@@ -42,7 +42,7 @@ class ProgressLine:
         if self._dead:
             return
         now = time.monotonic()
-        if now - self._last < self._interval:
+        if self._last is not None and now - self._last < self._interval:
             return
         self._last = now
         text = self._format(payload, now - self._started)

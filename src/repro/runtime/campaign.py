@@ -14,14 +14,25 @@ Faults live in one *group* per ladder rung.  Symbolic groups run a
 :class:`~repro.symbolic.fault_sim.SymbolicSession` each (own OBDD
 manager, own node limit); the bottom ``3v`` group runs the serial
 three-valued engine.  All groups advance in lockstep, one test vector
-per iteration, against a shared conservative three-valued good-machine
-trajectory.  When a session raises
+per iteration.  Three-valued steps run against a shared conservative
+good-machine trajectory (simulated on demand), except during an
+interlude: there a group starts from its dropped session's good state
+projected onto 0/1/X, as the paper does, so constants that only the
+symbolic state knows survive.  This is the only frame loop with a
+fallback: the paper's hybrid simulator
+(:func:`repro.symbolic.hybrid.hybrid_fault_simulate`) is this loop
+with a one-rung ladder.  When a session raises
 
-* :class:`SpaceLimitExceeded` attributable to a single fault — that
-  fault is demoted one rung (or quarantined off the bottom),
-* :class:`SpaceLimitExceeded` in the fault-free simulation — the whole
-  group falls back to three-valued frames for a few vectors and then
-  re-opens, exactly like the paper's hybrid simulator,
+* :class:`SpaceLimitExceeded` (a node-limit overflow, or its
+  :class:`MemoryPressureExceeded` subclass) or :class:`MemoryError` —
+  evidence about the *group*: its faults share one manager, so no
+  single fault is to blame.  The group gets the paper's protocol:
+  garbage collection, a retry of the frame when that left the table
+  below half the limit, otherwise a three-valued interlude of a few
+  frames, after which a fresh session re-opens,
+* :class:`BudgetExceeded` with a fault key (a per-fault frame budget)
+  — the fault's own evidence: that fault alone is demoted one rung (or
+  quarantined off the bottom),
 * :class:`BudgetExceeded` without a fault key (deadline / total
   nodes) — the frame is *completed* three-valued for the remaining
   groups (so every fault sits on the same frame boundary), a final
@@ -41,7 +52,7 @@ reorder-rescues *before* any of the surrender paths above fire.  Those
 relief rungs are semantics-preserving, so they never affect
 ``exact``; a pressure *surrender*
 (:class:`~repro.bdd.errors.MemoryPressureExceeded`) flows through the
-regular ``SpaceLimitExceeded`` handling.  Pressure activity is
+regular group overflow protocol.  Pressure activity is
 aggregated into :attr:`CampaignResult.pressure` and the checkpoint
 counters.
 """
@@ -79,14 +90,14 @@ from repro.runtime.errors import (
     DegradationExhausted,
 )
 from repro.runtime.governor import ResourceGovernor
-from repro.runtime.ladder import DegradationLadder, LadderState
-from repro.symbolic.fault_sim import SymbolicSession
-from repro.symbolic.hybrid import (
-    _GC_RETRY_FRACTION,
+from repro.runtime.ladder import (
     DEFAULT_FALLBACK_FRAMES,
     DEFAULT_NODE_LIMIT,
-    HybridFaultSimResult,
+    GC_RETRY_FRACTION,
+    DegradationLadder,
+    LadderState,
 )
+from repro.symbolic.fault_sim import SymbolicSession
 from repro.xred.idxred import eliminate_x_redundant
 
 DEFAULT_CHECKPOINT_EVERY = 25
@@ -108,9 +119,10 @@ _BDD_COUNTER_KEYS = (
 )
 
 
-class CampaignResult(HybridFaultSimResult):
-    """A :class:`HybridFaultSimResult` plus budget / degradation /
-    checkpoint accounting."""
+class CampaignResult:
+    """Outcome of a campaign (and of a hybrid run): the classified
+    fault set plus frame, fallback, budget, degradation and checkpoint
+    accounting."""
 
     def __init__(
         self,
@@ -136,16 +148,14 @@ class CampaignResult(HybridFaultSimResult):
         pressure=None,
         disk=None,
     ):
-        super().__init__(
-            fault_set,
-            strategy_name,
-            frames_total,
-            frames_symbolic,
-            frames_three_valued,
-            fallbacks,
-            gc_runs,
-            peak_nodes,
-        )
+        self.fault_set = fault_set
+        self.strategy = strategy_name
+        self.frames_total = frames_total
+        self.frames_symbolic = frames_symbolic
+        self.frames_three_valued = frames_three_valued
+        self.fallbacks = fallbacks
+        self.gc_runs = gc_runs
+        self.peak_nodes = peak_nodes
         self.demotions = demotions
         self.demotion_log = demotion_log
         self.quarantined = quarantined
@@ -190,7 +200,7 @@ class CampaignResult(HybridFaultSimResult):
         )
 
     def demotion_reasons(self):
-        """Demotions grouped by why: space / pressure / budget.
+        """Demotions grouped by why (``budget``: a per-fault budget).
 
         Entries predating reason tracking count as ``unattributed``;
         demotions whose log entries were lost (e.g. a fabric resume,
@@ -253,7 +263,7 @@ class _Group:
 
     A symbolic group is either *running* (``session`` holds the
     records) or in a three-valued *interlude* after a whole-group
-    space-limit fallback (``records``/``diffs`` hold them until the
+    overflow fallback (``records``/``diffs`` hold them until the
     interlude expires and a fresh session re-opens).  The bottom
     ``3v`` group only ever uses ``records``/``diffs``.
     """
@@ -263,8 +273,12 @@ class _Group:
         self.rung = rung
         self.session = None
         self.records = {}  # id(record) -> record (outside a session)
-        self.diffs = {}  # id(record) -> {dff: 3v value} vs campaign state
+        self.diffs = {}  # id(record) -> {dff: 3v value} vs the reference
         self.interlude_left = 0
+        # the reference of ``diffs`` during an interlude: the dropped
+        # session's good state projected onto 0/1/X, advanced frame by
+        # frame.  None means the campaign's shared trajectory.
+        self.good_3v = None
 
     def live_count(self):
         if self.session is not None:
@@ -387,7 +401,12 @@ class Campaign:
         if initial_state is None:
             initial_state = [threeval.X] * compiled.num_dffs
         self.initial_state = list(initial_state)
-        self.good_3v = list(initial_state)
+        # the shared three-valued good-machine trajectory depends only
+        # on the sequence, so it is simulated on demand (_shared_good):
+        # a campaign whose groups all stay symbolic never pays for it
+        self._good_3v = list(initial_state)
+        self._good_frame = 0
+        self._frame_values = None  # its gate values for this frame
 
         self.ladder_state = LadderState(ladder)
         self.groups = [_Group(i, rung) for i, rung in enumerate(ladder.rungs)]
@@ -473,7 +492,8 @@ class Campaign:
         )
         campaign.frame = checkpoint.frame
         campaign.resumed_from = checkpoint.frame
-        campaign.good_3v = checkpoint.good_state
+        campaign._good_3v = checkpoint.good_state
+        campaign._good_frame = checkpoint.frame
         counters = checkpoint.counters
         campaign.frames_symbolic = counters.get("frames_symbolic", 0)
         campaign.frames_three_valued = counters.get("frames_three_valued", 0)
@@ -627,6 +647,10 @@ class Campaign:
     def _distribute_faults(self):
         if any(rung.symbolic for rung in self.ladder.rungs):
             candidates = self.fault_set.symbolic_candidates()
+        elif self.pre_pass_3v:
+            # a three-valued-only ladder would replay the pre-pass
+            # frame for frame: nothing is left for it to find
+            candidates = []
         else:
             candidates = self.fault_set.undetected()
         start_group = self.groups[0]
@@ -673,9 +697,6 @@ class Campaign:
         boundary when the final checkpoint is written.
         """
         time = self.frame + 1  # detection times are 1-based
-        good_values = simulate_frame(
-            self.compiled, THREE_VALUED, vector, self.good_3v
-        )
         stop = None
         stepped_symbolic = False
         stepped_3v = False
@@ -688,7 +709,7 @@ class Campaign:
                     self._begin_interlude(group)
                 if group.records:
                     self._three_valued_step(
-                        good_values, group, time,
+                        vector, group, time,
                         quarantine_on_budget=not group.rung.symbolic,
                     )
                     stepped_3v = True
@@ -698,13 +719,13 @@ class Campaign:
             if not group.rung.symbolic:
                 if group.records:
                     self._three_valued_step(
-                        good_values, group, time, quarantine_on_budget=True
+                        vector, group, time, quarantine_on_budget=True
                     )
                     stepped_3v = True
                 continue
             if group.interlude_left > 0:
                 if group.records:
-                    self._three_valued_step(good_values, group, time)
+                    self._three_valued_step(vector, group, time)
                     stepped_3v = True
                 group.interlude_left -= 1
                 continue
@@ -726,7 +747,7 @@ class Campaign:
                     )
                     group.session = None
                     group.interlude_left = self.fallback_frames
-                    self._three_valued_step(good_values, group, time)
+                    self._three_valued_step(vector, group, time)
                     group.interlude_left -= 1
                     stepped_3v = True
                     continue
@@ -761,12 +782,15 @@ class Campaign:
                 )
                 span.close()
                 if outcome == "interlude":
-                    self._three_valued_step(good_values, group, time)
+                    self._three_valued_step(vector, group, time)
                     group.interlude_left -= 1
                     stepped_3v = True
                 elif outcome:
                     stepped_symbolic = True
-        self.good_3v = next_state_of(self.compiled, good_values)
+        if self._frame_values is not None:
+            self._good_3v = next_state_of(self.compiled, self._frame_values)
+            self._good_frame = self.frame + 1
+            self._frame_values = None
         if stepped_symbolic:
             self.frames_symbolic += 1
         if stepped_3v:
@@ -776,12 +800,39 @@ class Campaign:
     # ------------------------------------------------------------------
     # symbolic groups
     # ------------------------------------------------------------------
+    def _shared_good(self):
+        """The shared three-valued good state at the current frame."""
+        while self._good_frame < self.frame:
+            values = simulate_frame(
+                self.compiled, THREE_VALUED,
+                self.sequence[self._good_frame], self._good_3v,
+            )
+            self._good_3v = next_state_of(self.compiled, values)
+            self._good_frame += 1
+        return self._good_3v
+
+    def _shared_values(self, vector):
+        """The shared good machine's gate values for this frame."""
+        if self._frame_values is None:
+            self._frame_values = simulate_frame(
+                self.compiled, THREE_VALUED, vector, self._shared_good()
+            )
+        return self._frame_values
+
+    def _reference(self, group):
+        """The three-valued good state *group*'s parked diffs are against."""
+        if group.good_3v is not None and not group.records:
+            group.good_3v = None  # nothing is parked against it any more
+        if group.good_3v is not None:
+            return group.good_3v
+        return self._shared_good()
+
     def _open_session(self, group):
-        """Fresh session for *group* from the current three-valued state."""
+        """Fresh session for *group* from its three-valued state."""
         session = SymbolicSession(
             self.compiled,
             group.rung.strategy,
-            good_state_3v=self.good_3v,
+            good_state_3v=self._reference(group),
             node_limit=group.rung.node_limit(self.node_limit),
             variable_scheme=self.variable_scheme,
             start_time=self.frame,
@@ -819,6 +870,7 @@ class Campaign:
             session.attach_fault(record, group.diffs.get(key))
         group.records = {}
         group.diffs = {}
+        group.good_3v = None
         group.session = session
 
     def _step_symbolic_group(self, group, vector):
@@ -826,8 +878,8 @@ class Campaign:
 
         Returns True on a successful step, ``"interlude"`` after a
         whole-group fallback (the caller then simulates this frame
-        three-valued), False when the group emptied out.  Per-fault
-        blow-ups demote just the offending fault and retry; the step is
+        three-valued), False when the group emptied out.  A per-fault
+        budget overrun demotes just that fault and retries; the step is
         atomic, so a retry re-runs the frame from unchanged state.
         """
         gc_tried = False
@@ -838,21 +890,16 @@ class Campaign:
             try:
                 detected = session.step(vector)
             except (SpaceLimitExceeded, MemoryError) as exc:
-                # MemoryError is an allocation failing outright (a real
-                # OOM, or the bdd.alloc failpoint standing in for one);
-                # the step left the session untouched either way, so it
-                # gets the same surrender protocol as a space overflow
-                # — conservative, never a wrong verdict
+                # the group's shared manager overflowed (or memory
+                # pressure surrendered, or an allocation failed outright
+                # — a real OOM or the bdd.alloc failpoint): evidence
+                # about the group, not about whichever fault allocated
+                # last.  The step left the session untouched, so the
+                # paper's GC-then-interlude protocol stays conservative.
                 self.peak_nodes = max(
                     self.peak_nodes, session.manager.peak_nodes
                 )
                 self._note_surrender(exc)
-                if isinstance(exc, MemoryPressureExceeded):
-                    reason = "pressure"
-                elif isinstance(exc, MemoryError):
-                    reason = "alloc"
-                else:
-                    reason = "space"
                 if not gc_tried:
                     freed = session.compact()
                     self.gc_runs += 1
@@ -862,12 +909,8 @@ class Campaign:
                     )
                     gc_tried = True
                     limit = session.manager.node_limit or 0
-                    if session.manager.num_nodes < _GC_RETRY_FRACTION * limit:
+                    if session.manager.num_nodes < GC_RETRY_FRACTION * limit:
                         continue
-                fault_key = getattr(exc, "fault_key", None)
-                if fault_key is not None:
-                    self._demote(group, fault_key, reason=reason)
-                    continue
                 self._begin_interlude(group)
                 return "interlude"
             except BudgetExceeded as exc:
@@ -883,11 +926,10 @@ class Campaign:
     def _demote(self, group, fault_key, reason=None):
         """Move one fault a rung down (or quarantine it off the end)."""
         record = self._record_of[fault_key]
-        if group.session is not None and id(record) in group.session._store:
-            diff = group.session.detach(record, relative_to=self.good_3v)
-        else:
-            group.records.pop(id(record), None)
-            diff = group.diffs.pop(id(record), {})
+        index = group.rung_index + 1
+        target = self.groups[index] if index < len(self.groups) else None
+        reference = self._reference(target) if target is not None else None
+        diff = group.session.detach(record, relative_to=reference)
         try:
             new_index = self.ladder_state.demote(
                 fault_key, frame=self.frame, reason=reason
@@ -904,7 +946,6 @@ class Campaign:
                 to=self.groups[new_index].rung.strategy,
                 **{"from": group.rung.strategy},
             )
-        target = self.groups[new_index]
         if target.rung.symbolic and target.session is not None:
             try:
                 target.session.attach_fault(record, diff)
@@ -915,6 +956,7 @@ class Campaign:
                 # park the record with it
                 target.session._store.pop(id(record), None)
                 self._begin_interlude(target)
+                diff = _rebase(diff, reference, target.good_3v)
         target.records[id(record)] = record
         target.diffs[id(record)] = diff or {}
 
@@ -927,7 +969,13 @@ class Campaign:
 
     def _begin_interlude(self, group):
         """Whole-group fallback: project to three-valued, drop the
-        session, simulate ``fallback_frames`` frames conventionally."""
+        session, simulate ``fallback_frames`` frames conventionally.
+
+        The interlude starts from the session's own projection, as in
+        the paper: it keeps every constant the symbolic good state
+        knows, which the shared trajectory may have lost to
+        reconvergence.  Those constants hold for every initial state.
+        """
         self.fallbacks += 1
         self.tracer.event(
             "fallback",
@@ -937,14 +985,16 @@ class Campaign:
         )
         session = group.session
         self._fold_session_stats(session)
+        good = session.project_state_3v()
         records = {}
         diffs = {}
         for record in session.live_records():
             records[id(record)] = record
-            diffs[id(record)] = session.detach(record, relative_to=self.good_3v)
+            diffs[id(record)] = session.detach(record, relative_to=good)
         group.session = None
         group.records = records
         group.diffs = diffs
+        group.good_3v = good
         group.interlude_left = self.fallback_frames
 
     # ------------------------------------------------------------------
@@ -1092,9 +1142,6 @@ class Campaign:
                 "action": "surrender",
                 "trigger": "rss",
                 "rss": exc.requested,
-                "fault": (
-                    None if exc.fault_key is None else str(exc.fault_key)
-                ),
             }
         )
 
@@ -1289,8 +1336,15 @@ class Campaign:
     # three-valued stepping (interludes and the bottom rung)
     # ------------------------------------------------------------------
     def _three_valued_step(
-        self, good_values, group, time, quarantine_on_budget=False
+        self, vector, group, time, quarantine_on_budget=False
     ):
+        if group.good_3v is None:
+            good_values = self._shared_values(vector)
+        else:
+            good_values = simulate_frame(
+                self.compiled, THREE_VALUED, vector, group.good_3v
+            )
+            group.good_3v = next_state_of(self.compiled, good_values)
         records, diffs = group.records, group.diffs
         span = self.tracer.span(
             "step",
@@ -1364,19 +1418,23 @@ class Campaign:
 
     def _live_snapshot(self):
         """(rung_indices, diffs) keyed by id(record) for all live faults."""
+        shared = self._shared_good()
         rungs = {}
         diffs = {}
         for group in self.groups:
             if group.session is not None:
                 session_diffs = group.session.snapshot_diffs(
-                    relative_to=self.good_3v
+                    relative_to=shared
                 )
                 for record in group.session.live_records():
                     rungs[id(record)] = group.rung_index
                     diffs[id(record)] = session_diffs[id(record)]
+            reference = self._reference(group)
             for key, record in group.records.items():
                 rungs[id(record)] = group.rung_index
-                diffs[id(record)] = group.diffs.get(key, {})
+                diffs[id(record)] = _rebase(
+                    group.diffs.get(key, {}), reference, shared
+                )
         return rungs, diffs
 
     def _counters(self):
@@ -1410,7 +1468,7 @@ class Campaign:
         rungs, diffs = self._live_snapshot()
         self._writer.write_checkpoint(
             frame=self.frame,
-            good_state_3v=self.good_3v,
+            good_state_3v=self._shared_good(),
             fault_set=self.fault_set,
             rung_indices=rungs,
             diffs_3v=diffs,
@@ -1491,6 +1549,18 @@ class Campaign:
             pressure=self._pressure_accounting(),
             disk=self._disk_accounting(),
         )
+
+
+def _rebase(diff, old_good, new_good):
+    """Re-express a three-valued state diff against another good state."""
+    if old_good is new_good:
+        return diff
+    rebased = {}
+    for dff, good in enumerate(new_good):
+        value = diff.get(dff, old_good[dff])
+        if value != good:
+            rebased[dff] = value
+    return rebased
 
 
 # ----------------------------------------------------------------------

@@ -123,7 +123,7 @@ class WorkerGovernor(ResourceGovernor):
         super().__init__(**kwargs)
         self._heartbeat = heartbeat
         self._heartbeat_interval = heartbeat_interval
-        self._last_beat = 0.0
+        self._last_beat = None  # no heartbeat sent yet
         self._since_beat = 0
         #: meter allocations only when a budget asked for it, so an
         #: unbudgeted pooled run reports the same ``nodes_allocated``
@@ -150,7 +150,10 @@ class WorkerGovernor(ResourceGovernor):
 
     def _maybe_beat(self, frame):
         now = _time.monotonic()
-        if now - self._last_beat >= self._heartbeat_interval:
+        if (
+            self._last_beat is None
+            or now - self._last_beat >= self._heartbeat_interval
+        ):
             self._last_beat = now
             self._heartbeat(frame, self.sample_rss())
 

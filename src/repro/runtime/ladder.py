@@ -7,13 +7,18 @@ default
 
     MOT  ->  rMOT  ->  SOT  ->  three-valued
 
-with shrinking OBDD node limits, and is demoted one rung each time its
-own propagation blows the node limit or a per-fault frame budget.  A
+with shrinking OBDD node limits, and is demoted one rung each time it
+overruns a per-fault frame budget — the fault's own evidence.  A
+node-limit overflow (or a memory-pressure surrender) is not: the faults
+of a rung share one OBDD manager, so the whole rung gets the paper's
+global step instead (garbage collection, then a three-valued interlude
+of ``DEFAULT_FALLBACK_FRAMES`` frames) and nobody is demoted.  The
+constants of that overflow policy live here, next to the ladder.  A
 fault that falls off the bottom is *quarantined* (status
-``quarantined``), so one pathological fault can no longer stall a whole
-campaign.  Every demotion restarts the fault's detection accumulator
-from scratch (exactly like the paper's fallback), so results stay
-conservative — demoted runs are flagged ``exact=False``.
+``quarantined``), so one pathological fault can no longer stall a
+whole campaign.  Every demotion restarts the fault's detection
+accumulator from scratch (exactly like the paper's fallback), so
+results stay conservative — demoted runs are flagged ``exact=False``.
 
 :class:`DegradationLadder` is the immutable policy (rung order and
 node-limit scales); :class:`LadderState` is the mutable per-campaign
@@ -21,6 +26,13 @@ assignment of faults to rungs, which is what checkpoints serialize.
 """
 
 from repro.runtime.errors import DegradationExhausted
+
+DEFAULT_NODE_LIMIT = 30_000  # the paper's space limit
+DEFAULT_FALLBACK_FRAMES = 5
+
+# After a GC the step is retried only if the table is comfortably below
+# the limit again; otherwise we would thrash between GC and overflow.
+GC_RETRY_FRACTION = 0.5
 
 THREE_VALUED_RUNG = "3v"
 
@@ -95,13 +107,18 @@ class DegradationLadder:
 
     @classmethod
     def from_strategy(cls, strategy):
-        """The default ladder starting at *strategy* (e.g. rMOT->SOT->3v)."""
+        """The default ladder starting at *strategy* (e.g. rMOT->SOT->3v).
+
+        The requested strategy runs at the full node limit; only the
+        rungs below it get their default scales.
+        """
         if strategy not in STRATEGY_ORDER:
             raise ValueError(
                 f"unknown strategy {strategy!r}; "
                 f"choose from {', '.join(STRATEGY_ORDER)}"
             )
-        return cls(STRATEGY_ORDER[STRATEGY_ORDER.index(strategy):])
+        top, *rest = STRATEGY_ORDER[STRATEGY_ORDER.index(strategy):]
+        return cls([(top, 1.0), *rest])
 
     def __len__(self):
         return len(self.rungs)
@@ -134,9 +151,8 @@ class LadderState:
         self._rung_of = {}  # fault key -> rung index
         self.demotions = 0
         # (fault_key, from_rung, to_rung, frame, reason); reason is the
-        # trigger class — "space" (node-limit overflow), "pressure"
-        # (memory-pressure surrender), "budget" (per-fault budget) or
-        # None when the caller did not attribute one
+        # trigger class — "budget" (per-fault budget) for campaign
+        # demotions, None when the caller did not attribute one
         self.demotion_log = []
 
     def assign(self, fault_key, rung_index=0):

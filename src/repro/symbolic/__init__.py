@@ -26,7 +26,6 @@ from repro.symbolic.fault_sim import (
 from repro.symbolic.hybrid import (
     DEFAULT_FALLBACK_FRAMES,
     DEFAULT_NODE_LIMIT,
-    HybridFaultSimResult,
     hybrid_fault_simulate,
 )
 from repro.symbolic.evaluation import (
@@ -47,7 +46,6 @@ __all__ = [
     "SymbolicFaultSimResult",
     "symbolic_fault_simulate",
     "hybrid_fault_simulate",
-    "HybridFaultSimResult",
     "DEFAULT_NODE_LIMIT",
     "DEFAULT_FALLBACK_FRAMES",
     "SymbolicOutputSequence",

@@ -8,15 +8,17 @@ the three-valued simulator uses — only over BDD values.  The chosen
 observation strategy (SOT / rMOT / MOT) inspects the primary outputs
 and accumulates the per-fault detection function.
 
-A session steps one time frame at a time so the hybrid simulator can
-catch :class:`~repro.bdd.errors.SpaceLimitExceeded` between (and
-inside) frames, snapshot the state down to three-valued logic, and
-later open a fresh session.  A step that raises leaves the session
-state exactly as it was before the step.
+A session steps one time frame at a time so the campaign frame loop
+(which also runs the paper's hybrid simulator) can catch
+:class:`~repro.bdd.errors.SpaceLimitExceeded` between (and inside)
+frames, snapshot the state down to three-valued logic, and later open
+a fresh session.  A step that raises leaves the session state exactly
+as it was before the step.  All faults share the session's manager, so
+an overflow says nothing about the fault that happened to allocate the
+last node; the exception carries no fault attribution.
 """
 
 from repro.bdd import BddManager, StateVariables
-from repro.bdd.errors import SpaceLimitExceeded
 from repro.bdd.manager import FALSE, TRUE
 from repro.bdd.ordering import RemappedStateVariables
 from repro.bdd.reorder import block_window_search
@@ -235,22 +237,16 @@ class SymbolicSession:
         new_store = {}
         for key, (record, state_diff, acc) in self._store.items():
             nodes_before = self.manager.num_nodes
-            try:
-                result = propagate_fault(
-                    compiled, algebra, good_values, record.fault, state_diff
-                )
-                po_diff = {}
-                for sig, faulty in result.diff.items():
-                    for po_pos in compiled.po_sinks[sig]:
-                        po_diff[po_pos] = faulty
-                hit = False
-                if po_diff or observe_silent:
-                    hit, acc = self.strategy.observe(ctx, acc, po_diff)
-            except SpaceLimitExceeded as exc:
-                # attribute the overflow to this fault so the campaign
-                # runtime can demote it instead of dropping the session
-                exc.fault_key = record.fault.key()
-                raise
+            result = propagate_fault(
+                compiled, algebra, good_values, record.fault, state_diff
+            )
+            po_diff = {}
+            for sig, faulty in result.diff.items():
+                for po_pos in compiled.po_sinks[sig]:
+                    po_diff[po_pos] = faulty
+            hit = False
+            if po_diff or observe_silent:
+                hit, acc = self.strategy.observe(ctx, acc, po_diff)
             if self.fault_cost_hook is not None:
                 self.fault_cost_hook(
                     record, self.manager.num_nodes - nodes_before

@@ -1,16 +1,26 @@
 """The hybrid fault simulator (Sections I and IV.A).
 
 Runs the symbolic simulation of :mod:`repro.symbolic.fault_sim` until
-the OBDD node limit is exceeded, then
+the OBDD node limit is exceeded.  An overflow is evidence about the
+whole symbolic state, never about one fault, so it gets the paper's
+protocol:
 
-1. tries a garbage collection of the session first (cheap, and often
+1. garbage-collect the session and retry the frame when that brought
+   the table comfortably below the limit again (cheap, and often
    enough early in a stretch),
-2. otherwise *falls back*: the symbolic state is projected onto the
+2. otherwise *fall back*: the symbolic state is projected onto the
    three-valued logic, a few frames are simulated three-valued with SOT
    detection (which shrinks the symbolic state: known bits become
    constants), and a fresh symbolic session is opened — X-valued state
    bits get fresh variables and every detection function restarts at
    the constant 1, exactly as the paper prescribes.
+
+There is one frame loop with this protocol: the campaign runtime's
+(:class:`repro.runtime.campaign.Campaign`).  :func:`hybrid_fault_simulate`
+runs it with a one-rung ladder — the requested strategy at the full
+node limit, no per-fault budgets, no ID_X-red and no three-valued
+pre-pass — so the paper's algorithm and a campaign agree verdict for
+verdict, and detection frames stay absolute across fallbacks.
 
 Any fallback makes the final classification conservative: faults still
 undetected might have been caught by an uninterrupted symbolic run.
@@ -18,75 +28,7 @@ Results produced this way are flagged ``exact=False`` (the asterisks in
 Tables II and III).
 """
 
-from repro.bdd.errors import SpaceLimitExceeded
-from repro.engines.algebra import THREE_VALUED
-from repro.engines.evaluate import next_state_of, simulate_frame
-from repro.engines.propagate import propagate_fault
-from repro.engines.serial_fault_sim import _check_sot_detection
-from repro.faults.status import BY_3V, UNDETECTED, FaultSet
-from repro.logic import threeval
-from repro.symbolic.fault_sim import SymbolicSession
-
-DEFAULT_NODE_LIMIT = 30_000  # the paper's space limit
-DEFAULT_FALLBACK_FRAMES = 5
-
-# After a GC the step is retried only if the table is comfortably below
-# the limit again; otherwise we would thrash between GC and overflow.
-_GC_RETRY_FRACTION = 0.5
-
-
-class HybridFaultSimResult:
-    """Outcome of a hybrid run."""
-
-    def __init__(
-        self,
-        fault_set,
-        strategy_name,
-        frames_total,
-        frames_symbolic,
-        frames_three_valued,
-        fallbacks,
-        gc_runs,
-        peak_nodes,
-    ):
-        self.fault_set = fault_set
-        self.strategy = strategy_name
-        self.frames_total = frames_total
-        self.frames_symbolic = frames_symbolic
-        self.frames_three_valued = frames_three_valued
-        self.fallbacks = fallbacks
-        self.gc_runs = gc_runs
-        self.peak_nodes = peak_nodes
-
-    @property
-    def exact(self):
-        """True when no three-valued fallback polluted the verdicts."""
-        return self.fallbacks == 0
-
-    def __repr__(self):
-        counts = self.fault_set.counts()
-        flag = "exact" if self.exact else f"*{self.fallbacks} fallbacks"
-        return (
-            f"HybridFaultSimResult({self.strategy}, "
-            f"{counts['detected']}/{counts['total']} detected, {flag})"
-        )
-
-
-def _three_valued_frame(compiled, vector, good_state, live, diffs, time):
-    """One three-valued frame over the live faults; returns new state."""
-    algebra = THREE_VALUED
-    good_values = simulate_frame(compiled, algebra, vector, good_state)
-    for record in list(live):
-        result = propagate_fault(
-            compiled, algebra, good_values, record.fault, diffs[id(record)]
-        )
-        if _check_sot_detection(compiled, good_values, result, algebra):
-            record.mark_detected(BY_3V, time)
-            live.remove(record)
-            del diffs[id(record)]
-        else:
-            diffs[id(record)] = result.next_state_diff
-    return next_state_of(compiled, good_values)
+from repro.runtime.ladder import DEFAULT_FALLBACK_FRAMES, DEFAULT_NODE_LIMIT
 
 
 def hybrid_fault_simulate(
@@ -98,93 +40,27 @@ def hybrid_fault_simulate(
     fallback_frames=DEFAULT_FALLBACK_FRAMES,
     initial_state=None,
     variable_scheme="interleaved",
-    try_gc_first=True,
 ):
     """Hybrid symbolic / three-valued fault simulation.
 
     Mirrors :func:`repro.symbolic.fault_sim.symbolic_fault_simulate`
     but never dies on the node limit; see the module docstring for the
-    fallback protocol.
+    fallback protocol.  Returns a
+    :class:`~repro.runtime.campaign.CampaignResult`.
     """
-    if fallback_frames < 1:
-        raise ValueError("fallback_frames must be at least 1")
-    if isinstance(fault_set, (list, tuple)):
-        fault_set = FaultSet(fault_set)
-    vectors = list(sequence)
+    # imported here: the campaign runtime imports repro.symbolic, whose
+    # package init imports this module
+    from repro.runtime.campaign import run_campaign
 
-    if initial_state is None:
-        initial_state = [threeval.X] * compiled.num_dffs
-
-    session = SymbolicSession(
+    return run_campaign(
         compiled,
-        strategy,
-        good_state_3v=initial_state,
-        node_limit=node_limit,
-        variable_scheme=variable_scheme,
-    )
-    session.attach_faults(fault_set.symbolic_candidates())
-    strategy_name = session.strategy.name
-
-    time = 0
-    frames_symbolic = 0
-    frames_three_valued = 0
-    fallbacks = 0
-    gc_runs = 0
-    peak_nodes = 2
-
-    while time < len(vectors):
-        try:
-            session.step(vectors[time])
-            time += 1
-            frames_symbolic += 1
-            continue
-        except SpaceLimitExceeded:
-            pass
-
-        peak_nodes = max(peak_nodes, session.manager.peak_nodes)
-        if try_gc_first:
-            session.compact()
-            gc_runs += 1
-            if session.manager.num_nodes < _GC_RETRY_FRACTION * node_limit:
-                try:
-                    session.step(vectors[time])
-                    time += 1
-                    frames_symbolic += 1
-                    continue
-                except SpaceLimitExceeded:
-                    pass
-
-        # ------------------------------------------------------ fallback
-        fallbacks += 1
-        good_3v, diffs_3v = session.snapshot_3v()
-        live = session.live_records()
-        diffs = {id(r): diffs_3v[id(r)] for r in live}
-        for _ in range(fallback_frames):
-            if time >= len(vectors):
-                break
-            good_3v = _three_valued_frame(
-                compiled, vectors[time], good_3v, live, diffs, time + 1
-            )
-            time += 1
-            frames_three_valued += 1
-
-        session = SymbolicSession(
-            compiled,
-            strategy,
-            good_state_3v=good_3v,
-            node_limit=node_limit,
-            variable_scheme=variable_scheme,
-        )
-        session.attach_faults(live, diffs)
-
-    peak_nodes = max(peak_nodes, session.manager.peak_nodes)
-    return HybridFaultSimResult(
+        sequence,
         fault_set,
-        strategy_name,
-        frames_total=time,
-        frames_symbolic=frames_symbolic,
-        frames_three_valued=frames_three_valued,
-        fallbacks=fallbacks,
-        gc_runs=gc_runs,
-        peak_nodes=peak_nodes,
+        ladder=[(strategy, 1.0)],
+        node_limit=node_limit,
+        fallback_frames=fallback_frames,
+        initial_state=initial_state,
+        variable_scheme=variable_scheme,
+        xred=False,
+        pre_pass_3v=False,
     )

@@ -94,6 +94,16 @@ def test_throttle_suppresses_rapid_updates():
     assert len(stream.getvalue().strip().splitlines()) == 1
 
 
+def test_first_update_renders_on_a_freshly_booted_host(monkeypatch):
+    # the monotonic clock starts near zero at boot: a host up for less
+    # than the interval must still render the first line
+    monkeypatch.setattr(time, "monotonic", lambda: 1.0)
+    stream = io.StringIO()
+    line = ProgressLine(stream=stream, interval=3600.0)
+    line.update(CAMPAIGN_PAYLOAD)
+    assert "frame 5/50" in stream.getvalue()
+
+
 def test_throttle_admits_after_interval():
     stream = io.StringIO()
     line = ProgressLine(stream=stream, interval=0.01)

@@ -203,3 +203,20 @@ def test_accounting_carries_rss_fields():
     assert acc["rss_budget"] == 4096
     assert acc["cache_budget"] == 128
     assert acc["peak_rss"] == 100
+
+
+def test_worker_first_heartbeat_on_a_freshly_booted_host(monkeypatch):
+    # the monotonic clock starts near zero at boot: a worker on a host
+    # up for less than the heartbeat interval must still beat at once
+    from repro.runtime.fabric import worker
+
+    monkeypatch.setattr(worker._time, "monotonic", lambda: 1.0)
+    beats = []
+    governor = worker.WorkerGovernor(
+        heartbeat=lambda frame, rss: beats.append(frame),
+        heartbeat_interval=3600.0,
+        rss_sampler=lambda: 0,
+    )
+    governor.check_frame(0)
+    governor.check_frame(1)
+    assert beats == [0]

@@ -26,6 +26,13 @@ def test_from_strategy_cuts_the_order():
         DegradationLadder.from_strategy("MOTT")
 
 
+def test_from_strategy_runs_the_requested_strategy_at_the_full_limit():
+    ladder = DegradationLadder.from_strategy("SOT")
+    assert [r.node_limit(10_000) for r in ladder.rungs] == [10_000, None]
+    ladder = DegradationLadder.from_strategy("rMOT")
+    assert [r.scale for r in ladder.rungs] == [1.0, 0.25, None]
+
+
 def test_rung_node_limit_scales_and_floors():
     assert Rung("MOT").node_limit(10_000) == 10_000
     assert Rung("rMOT").node_limit(10_000) == 5_000

@@ -56,7 +56,9 @@ def test_fallback_triggers_under_tiny_limit():
 @pytest.mark.parametrize("seed", range(6))
 def test_fallback_verdicts_remain_sound(seed):
     """Whatever the node limit does, every detection claimed by the
-    hybrid run must be a real MOT detection (oracle-verified)."""
+    hybrid run must be a real MOT detection (oracle-verified) — and
+    already one on the prefix up to its claimed detection frame, so
+    detection frames stay absolute across fallbacks."""
     compiled = compile_circuit(
         random_circuit(seed, num_dffs=4, num_gates=18)
     )
@@ -70,6 +72,11 @@ def test_fallback_verdicts_remain_sound(seed):
     for record in fs.detected():
         assert mot_detectable(compiled, sequence, record.fault), (
             record.fault.describe(compiled)
+        )
+        prefix = sequence[: record.detected_at]
+        assert mot_detectable(compiled, prefix, record.fault), (
+            f"{record.fault.describe(compiled)} claimed at frame "
+            f"{record.detected_at}"
         )
 
 
@@ -110,7 +117,6 @@ def test_gc_can_avoid_fallback():
     fs = FaultSet(faults)
     result = hybrid_fault_simulate(
         compiled, sequence, fs, strategy="MOT", node_limit=3000,
-        try_gc_first=True,
     )
     assert result.gc_runs >= 1
     assert result.exact  # GC alone was enough
@@ -138,3 +144,51 @@ def test_fallback_frames_must_be_positive():
         hybrid_fault_simulate(
             compiled, [], FaultSet(faults), fallback_frames=0
         )
+
+
+# q' = q OR NOT q: the symbolic good machine knows q = 1 after one
+# frame, the three-valued one keeps q = X for ever (reconvergence)
+RECONVERGENT = """
+INPUT(a)
+OUTPUT(z)
+q = DFF(d)
+nq = NOT(q)
+d = OR(q, nq)
+z = AND(q, a)
+"""
+
+
+def test_interlude_keeps_the_constants_of_the_symbolic_state(monkeypatch):
+    """A fallback projects the session's good state onto 0/1/X, as the
+    paper prescribes, instead of restarting from the (less defined)
+    three-valued trajectory: a constant that only the symbolic state
+    knows still detects faults during the interlude."""
+    from repro.bdd.errors import SpaceLimitExceeded
+    from repro.circuit.bench import parse_bench
+    from repro.faults.model import stem_fault
+    from repro.symbolic.fault_sim import SymbolicSession
+
+    compiled = compile_circuit(parse_bench(RECONVERGENT, name="reconv"))
+    fault = stem_fault(compiled, "z", 0)
+    fs = FaultSet([fault])
+    sequence = [(1,)] * 10
+
+    step = SymbolicSession.step
+    calls = []
+
+    def overflow_on_second_frame(session, vector, **kwargs):
+        calls.append(vector)
+        if len(calls) == 2:
+            raise SpaceLimitExceeded(limit=0, requested=1)
+        return step(session, vector, **kwargs)
+
+    monkeypatch.setattr(SymbolicSession, "step", overflow_on_second_frame)
+    result = hybrid_fault_simulate(
+        compiled, sequence, fs, strategy="MOT", node_limit=None,
+    )
+    assert result.fallbacks == 1
+    (record,) = fs.detected()
+    # the good output is 1 from frame 2 on, and frame 2 is the first
+    # frame of the interlude
+    assert (record.detected_by, record.detected_at) == (BY_3V, 2)
+    assert mot_detectable(compiled, sequence[:2], fault)
