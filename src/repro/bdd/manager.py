@@ -8,7 +8,9 @@ the paper builds on [Bryant 1986]:
 * node 0 is the constant FALSE, node 1 the constant TRUE,
 * a unique table guarantees canonicity — two functions are equal iff
   their indices are equal,
-* all operations go through :meth:`ite` with a computed table,
+* all operations go through :meth:`ite` with a computed table; the
+  terminal cases of ``ite``, ``and_`` and ``or_`` are folded before
+  the walk and touch neither the store nor the table,
 * the manager enforces a configurable **node limit** and raises
   :class:`~repro.bdd.errors.SpaceLimitExceeded` when a new node would
   exceed it (the paper uses a 30,000-node limit to trigger the hybrid
@@ -209,6 +211,22 @@ class BddManager:
     def ite(self, f, g, h):
         """``(f AND g) OR (NOT f AND h)`` — the universal connective.
 
+        Terminal cases (``f`` constant, ``g == h``, ``(g, h) == (TRUE,
+        FALSE)``) are answered before any work stack exists; they
+        create no node and write no computed-table entry.  Everything
+        else goes to :meth:`_ite_walk`.
+        """
+        if f < 2:
+            return g if f == TRUE else h
+        if g == h:
+            return g
+        if g == TRUE and h == FALSE:
+            return f
+        return self._ite_walk(f, g, h)
+
+    def _ite_walk(self, f, g, h):
+        """The ITE recursion proper, for a non-terminal ``(f, g, h)``.
+
         Iterative: an explicit task stack of ``(_EXPAND, f, g, h)`` and
         ``(_COMBINE, top, key)`` entries with a parallel result stack.
         An expand pushes its combine first, then the 0-branch, then the
@@ -271,10 +289,25 @@ class BddManager:
         return self.ite(f, FALSE, TRUE)
 
     def and_(self, f, g):
-        return self.ite(f, g, FALSE)
+        # ite(f, g, FALSE) with its terminal cases folded: a constant
+        # operand or ``f == g`` answers without reaching the walk
+        if f < 2:
+            return g if f == TRUE else FALSE
+        if g == FALSE:
+            return FALSE
+        if g == TRUE or g == f:
+            return f
+        return self._ite_walk(f, g, FALSE)
 
     def or_(self, f, g):
-        return self.ite(f, TRUE, g)
+        # ite(f, TRUE, g), folded like and_
+        if f < 2:
+            return TRUE if f == TRUE else g
+        if g == TRUE:
+            return TRUE
+        if g == FALSE or g == f:
+            return f
+        return self._ite_walk(f, TRUE, g)
 
     def xor(self, f, g):
         return self.ite(f, self.not_(g), g)
@@ -702,14 +735,16 @@ class BddManager:
         return self._nodes_dropped + len(self._var) - 2
 
     def enable_stats(self):
-        """Count ite() calls and computed-table hits/misses from now on.
+        """Count ITE walks and computed-table hits/misses from now on.
 
         Opt-in because both cost a Python dispatch per operation: the
-        computed table is swapped for a counting subclass and ``ite``
-        is shadowed by a counting wrapper.  With stats off the hot path
-        executes exactly the uninstrumented code.  The observability
-        layer enables this when tracing or metrics are requested.
-        Existing table entries are preserved.
+        computed table is swapped for a counting subclass and
+        ``_ite_walk`` is shadowed by a counting wrapper.  Only calls
+        that reach the walk are counted; a connective answered by its
+        terminal cases is not.  With stats off the hot path executes
+        exactly the uninstrumented code.  The observability layer
+        enables this when tracing or metrics are requested.  Existing
+        table entries are preserved.
         """
         if self._count_cache:
             return
@@ -717,13 +752,13 @@ class BddManager:
         cache = _CountingCache(self)
         cache.update(self._cache)
         self._cache = cache
-        inner = self.ite  # the (bound) uncounted implementation
+        inner = self._ite_walk  # the (bound) uncounted implementation
 
-        def counted_ite(f, g, h):
+        def counted_walk(f, g, h):
             self.stat_ite_calls += 1
             return inner(f, g, h)
 
-        self.ite = counted_ite
+        self._ite_walk = counted_walk
 
     def stats(self):
         """Lifetime operation counters plus current store levels."""

@@ -47,8 +47,15 @@ class CompiledCircuit:
         :class:`CompiledGate` list in topological (level) order.
     gate_at:
         per-signal position into ``gates`` (None for PIs and PPIs).
+    gate_ops:
+        per gate position, ``(out, fanins, base, inverted)`` with the
+        base operation and inversion flag of
+        :func:`~repro.circuit.gates.base_op` resolved once here.
     fanout_gates:
         per-signal list of ``(gate_pos, pin)`` gate sinks.
+    event_sinks:
+        per-signal list of ``(level, gate_pos)``: the gate sinks as
+        ready-made event-queue entries (one per sink gate).
     dff_sinks:
         per-signal list of flip-flop order indices whose D input reads it.
     po_sinks:
@@ -132,6 +139,9 @@ class CompiledCircuit:
             gate_at[cg.out] = pos
 
         self.gates = order
+        self.gate_ops = [
+            (cg.out, cg.fanins) + gatelib.base_op(cg.kind) for cg in order
+        ]
         self.gate_at = gate_at
         self.level = level
         self.max_level = max(level) if level else 0
@@ -140,9 +150,13 @@ class CompiledCircuit:
         self.fanout_gates = [[] for _ in range(self.num_signals)]
         self.dff_sinks = [[] for _ in range(self.num_signals)]
         self.po_sinks = [[] for _ in range(self.num_signals)]
+        self.event_sinks = [[] for _ in range(self.num_signals)]
         for cg in self.gates:
             for pin, src in enumerate(cg.fanins):
                 self.fanout_gates[src].append((cg.pos, pin))
+                sinks = self.event_sinks[src]
+                if not sinks or sinks[-1][1] != cg.pos:  # one per gate
+                    sinks.append((cg.level, cg.pos))
         for dff_idx, d in enumerate(self.dff_d):
             self.dff_sinks[d].append(dff_idx)
         for po_pos, net in enumerate(self.pos):

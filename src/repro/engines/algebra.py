@@ -21,26 +21,14 @@ class BoolAlgebra:
 
     zero = 0
     one = 1
+    not_ = staticmethod(boolean.not2)
+    and_ = staticmethod(boolean.and2)
+    or_ = staticmethod(boolean.or2)
+    xor = staticmethod(boolean.xor2)
 
     @staticmethod
     def const(bit):
         return 1 if bit else 0
-
-    @staticmethod
-    def not_(a):
-        return boolean.not2(a)
-
-    @staticmethod
-    def and_(a, b):
-        return boolean.and2(a, b)
-
-    @staticmethod
-    def or_(a, b):
-        return boolean.or2(a, b)
-
-    @staticmethod
-    def xor(a, b):
-        return boolean.xor2(a, b)
 
     @staticmethod
     def is_known(a):
@@ -57,26 +45,14 @@ class ThreeValuedAlgebra:
     zero = threeval.ZERO
     one = threeval.ONE
     unknown = threeval.X
+    not_ = staticmethod(threeval.not3)
+    and_ = staticmethod(threeval.and3)
+    or_ = staticmethod(threeval.or3)
+    xor = staticmethod(threeval.xor3)
 
     @staticmethod
     def const(bit):
         return threeval.ONE if bit else threeval.ZERO
-
-    @staticmethod
-    def not_(a):
-        return threeval.not3(a)
-
-    @staticmethod
-    def and_(a, b):
-        return threeval.and3(a, b)
-
-    @staticmethod
-    def or_(a, b):
-        return threeval.or3(a, b)
-
-    @staticmethod
-    def xor(a, b):
-        return threeval.xor3(a, b)
 
     @staticmethod
     def is_known(a):
@@ -94,21 +70,15 @@ class BddAlgebra:
         self.manager = manager
         self.zero = 0  # repro.bdd.manager.FALSE
         self.one = 1  # repro.bdd.manager.TRUE
+        # the manager's connectives, bound once: a gate evaluation calls
+        # straight into the kernel with no forwarding layer in between
+        self.not_ = manager.not_
+        self.and_ = manager.and_
+        self.or_ = manager.or_
+        self.xor = manager.xor
 
     def const(self, bit):
         return self.one if bit else self.zero
-
-    def not_(self, a):
-        return self.manager.not_(a)
-
-    def and_(self, a, b):
-        return self.manager.and_(a, b)
-
-    def or_(self, a, b):
-        return self.manager.or_(a, b)
-
-    def xor(self, a, b):
-        return self.manager.xor(a, b)
 
     def is_known(self, a):
         """Known here means: a constant function of the state variables."""

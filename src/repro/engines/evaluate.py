@@ -25,6 +25,16 @@ def eval_gate(algebra, kind, operands):
     return algebra.not_(result) if inverted else result
 
 
+def connectives(algebra):
+    """*algebra*'s binary connective per base operation, bound once.
+
+    The engines fetch these (and ``algebra.not_``) at the start of a
+    call, so evaluating a gate from ``compiled.gate_ops`` costs no
+    attribute or ``base_op`` lookup.
+    """
+    return {"AND": algebra.and_, "OR": algebra.or_, "XOR": algebra.xor}
+
+
 def simulate_frame(compiled, algebra, pi_values, state_values):
     """Fault-free evaluation of one time frame.
 
@@ -47,9 +57,19 @@ def simulate_frame(compiled, algebra, pi_values, state_values):
         values[sig] = value
     for sig, value in zip(compiled.ppis, state_values):
         values[sig] = value
-    for cg in compiled.gates:
-        operands = [values[src] for src in cg.fanins]
-        values[cg.out] = eval_gate(algebra, cg.kind, operands)
+    binary = connectives(algebra)
+    not_ = algebra.not_
+    # the same operations, in the same order, as eval_gate
+    for out, fanins, base, inverted in compiled.gate_ops:
+        if base == "CONST":
+            values[out] = algebra.const(inverted)
+            continue
+        value = values[fanins[0]]
+        if base != "ID":
+            combine = binary[base]
+            for src in fanins[1:]:
+                value = combine(value, values[src])
+        values[out] = not_(value) if inverted else value
     return values
 
 

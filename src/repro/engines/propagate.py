@@ -17,9 +17,9 @@ Only gates in the affected cone are re-evaluated, in level order, so a
 fault that stays silent costs almost nothing.
 """
 
-import heapq
+from heapq import heappop, heappush
 
-from repro.engines.evaluate import eval_gate
+from repro.engines.evaluate import connectives
 from repro.faults.model import BRANCH, DBRANCH, STEM
 
 
@@ -50,17 +50,24 @@ def propagate_fault(compiled, algebra, good_values, fault, state_diff):
     state_diff:
         dict ``dff_index -> faulty present-state value`` holding only
         entries that differ from the fault-free present state.
+
+    Gates are evaluated from the precompiled ``compiled.gate_ops`` and
+    scheduled from ``compiled.event_sinks``; the same connectives run
+    in the same order as :func:`~repro.engines.evaluate.eval_gate`.
     """
+    event_sinks = compiled.event_sinks
+    gate_ops = compiled.gate_ops
+    binary = connectives(algebra)
+    not_ = algebra.not_
     diff = {}
     pending = []  # heap of (level, gate_pos)
     scheduled = set()
 
     def schedule_sinks(sig):
-        for gate_pos, _pin in compiled.fanout_gates[sig]:
-            if gate_pos not in scheduled:
-                scheduled.add(gate_pos)
-                gate = compiled.gates[gate_pos]
-                heapq.heappush(pending, (gate.level, gate_pos))
+        for event in event_sinks[sig]:
+            if event[1] not in scheduled:
+                scheduled.add(event[1])
+                heappush(pending, event)
 
     # 1. Seed: present-state differences.
     for dff_idx, value in state_diff.items():
@@ -89,40 +96,52 @@ def propagate_fault(compiled, algebra, good_values, fault, state_diff):
     elif kind == BRANCH:
         branch_gate = fault.lead[1]
         branch_pin = fault.lead[2]
+        branch_value = algebra.const(fault.value)
         if branch_gate not in scheduled:
             scheduled.add(branch_gate)
-            gate = compiled.gates[branch_gate]
-            heapq.heappush(pending, (gate.level, branch_gate))
+            heappush(
+                pending, (compiled.gates[branch_gate].level, branch_gate)
+            )
     # DBRANCH faults act only at the state update below.
 
     # 3. Level-ordered propagation.
     while pending:
-        _level, gate_pos = heapq.heappop(pending)
-        gate = compiled.gates[gate_pos]
-        out = gate.out
+        gate_pos = heappop(pending)[1]
+        out, fanins, base, inverted = gate_ops[gate_pos]
         if out == forced_sig:
             continue  # output pinned by a stem fault
-        operands = [
-            diff.get(src, good_values[src]) for src in gate.fanins
-        ]
+        operands = [diff.get(src, good_values[src]) for src in fanins]
         if gate_pos == branch_gate:
-            operands[branch_pin] = algebra.const(fault.value)
-        new_value = eval_gate(algebra, gate.kind, operands)
-        old_value = diff.get(out, good_values[out])
-        if new_value != old_value:
-            if new_value == good_values[out]:
+            operands[branch_pin] = branch_value
+        value = operands[0]
+        if base != "ID":
+            combine = binary[base]
+            for operand in operands[1:]:
+                value = combine(value, operand)
+        if inverted:
+            value = not_(value)
+        if value != diff.get(out, good_values[out]):
+            if value == good_values[out]:
                 diff.pop(out, None)
             else:
-                diff[out] = new_value
+                diff[out] = value
             schedule_sinks(out)
 
-    # 4. Next-state differences.
+    # 4. Next-state differences, in ascending flip-flop order.  Only a
+    # flip-flop whose D input is in ``diff`` (or a DBRANCH site) can
+    # differ, and every ``diff`` entry differs from the good value.
+    dff_d = compiled.dff_d
+    flops = [dff_idx for sig in diff for dff_idx in compiled.dff_sinks[sig]]
+    site = fault.lead[1] if kind == DBRANCH else None
+    if site is not None and site not in flops:
+        flops.append(site)
+    flops.sort()
     next_state_diff = {}
-    for dff_idx, d_sig in enumerate(compiled.dff_d):
-        value = diff.get(d_sig, good_values[d_sig])
-        if kind == DBRANCH and fault.lead[1] == dff_idx:
-            value = algebra.const(fault.value)
-        if value != good_values[d_sig]:
-            next_state_diff[dff_idx] = value
+    for dff_idx in flops:
+        d_sig = dff_d[dff_idx]
+        if dff_idx != site:
+            next_state_diff[dff_idx] = diff[d_sig]
+        elif algebra.const(fault.value) != good_values[d_sig]:
+            next_state_diff[dff_idx] = algebra.const(fault.value)
 
     return FrameResult(diff, next_state_diff)

@@ -757,7 +757,7 @@ class Campaign:
                     group.session = None
                     pending.insert(0, group)
                     continue
-            if group.session is not None and group.session.live_records():
+            if group.session is not None:
                 span = self.tracer.span(
                     "step",
                     frame=self.frame,
@@ -787,6 +787,15 @@ class Campaign:
                     stepped_3v = True
                 elif outcome:
                     stepped_symbolic = True
+                if (
+                    group.session is not None
+                    and not group.session.live_records()
+                ):
+                    # every fault was detected or demoted: retire the
+                    # session, so a later demotion parks its record and
+                    # a fresh session opens at the then-current frame
+                    self._fold_session_stats(group.session)
+                    group.session = None
         if self._frame_values is not None:
             self._good_3v = next_state_of(self.compiled, self._frame_values)
             self._good_frame = self.frame + 1

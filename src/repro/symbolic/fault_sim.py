@@ -232,25 +232,27 @@ class SymbolicSession:
         observe_silent = self.strategy.needs_y_variables
 
         observing = self.tracer.enabled or self.metrics is not None
+        cost_hook = self.fault_cost_hook
+        po_sinks = compiled.po_sinks
+        observe = self.strategy.observe
         detected = []
         detect_sizes = []
         new_store = {}
         for key, (record, state_diff, acc) in self._store.items():
-            nodes_before = self.manager.num_nodes
+            if cost_hook is not None:
+                nodes_before = self.manager.num_nodes
             result = propagate_fault(
                 compiled, algebra, good_values, record.fault, state_diff
             )
             po_diff = {}
             for sig, faulty in result.diff.items():
-                for po_pos in compiled.po_sinks[sig]:
+                for po_pos in po_sinks[sig]:
                     po_diff[po_pos] = faulty
             hit = False
             if po_diff or observe_silent:
-                hit, acc = self.strategy.observe(ctx, acc, po_diff)
-            if self.fault_cost_hook is not None:
-                self.fault_cost_hook(
-                    record, self.manager.num_nodes - nodes_before
-                )
+                hit, acc = observe(ctx, acc, po_diff)
+            if cost_hook is not None:
+                cost_hook(record, self.manager.num_nodes - nodes_before)
             if hit:
                 detected.append(record)
                 if observing:

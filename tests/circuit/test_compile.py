@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.circuit import gates as gatelib
 from repro.circuit.compile import compile_circuit
 from repro.circuit.netlist import Circuit
 from repro.circuit.validate import CircuitError
@@ -34,6 +35,22 @@ def test_fanout_gates_consistent(s27_compiled):
     for cg in s27_compiled.gates:
         for pin, src in enumerate(cg.fanins):
             assert (cg.pos, pin) in s27_compiled.fanout_gates[src]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_precomputed_tables_match_the_gate_list(seed):
+    compiled = compile_circuit(random_circuit(seed, num_gates=20))
+    for cg in compiled.gates:
+        assert compiled.gate_ops[cg.pos] == (
+            (cg.out, cg.fanins) + gatelib.base_op(cg.kind)
+        )
+    for sig in range(compiled.num_signals):
+        expected = []
+        for gate_pos, _pin in compiled.fanout_gates[sig]:
+            event = (compiled.gates[gate_pos].level, gate_pos)
+            if event not in expected:
+                expected.append(event)
+        assert compiled.event_sinks[sig] == expected
 
 
 def test_sink_count_matches_fanout_map(s27_compiled):

@@ -15,6 +15,7 @@ import time
 import pytest
 
 import repro
+from repro.baselines.enumeration import mot_detectable
 from repro.bdd.errors import SpaceLimitExceeded
 from repro.circuit.compile import compile_circuit
 from repro.circuits.registry import get_circuit
@@ -28,6 +29,7 @@ from repro.runtime import (
     run_campaign,
 )
 from repro.sequences.random_seq import random_sequence_for
+from tests.util import random_circuit
 from repro.symbolic.fault_sim import SymbolicSession
 from repro.symbolic.hybrid import hybrid_fault_simulate
 from repro.xred.idxred import eliminate_x_redundant
@@ -198,6 +200,35 @@ def test_per_fault_budget_demotes_only_offenders(s27_compiled,
     demoted_keys = {entry[0] for entry in result.demotion_log}
     all_keys = {r.fault.key() for r in s27_fault_set}
     assert demoted_keys <= all_keys
+
+
+def test_demotion_onto_an_emptied_rung_opens_a_fresh_session():
+    """A session whose faults have all been detected or demoted is
+    retired.  Here the only rMOT fault moves on to SOT in frame 0, so
+    the rMOT session stops stepping; a MOT fault demoted onto rMOT in a
+    later frame must get a fresh session at that frame, not join the
+    stale one (whose good state is frames behind), or it is credited
+    with a detection the exact checker refutes."""
+    compiled = compile_circuit(random_circuit(2, num_dffs=3, num_gates=14))
+    faults, _ = collapse_faults(compiled)
+    sequence = random_sequence_for(compiled, 12, seed=2)
+    fault_set = FaultSet(faults)
+    result = run_campaign(
+        compiled, sequence, fault_set, strategy="MOT",
+        governor=ResourceGovernor(fault_frame_nodes=4),
+    )
+    # demotion_log entries: (fault key, from, to, frame, reason)
+    emptied = min(e[3] for e in result.demotion_log if e[1] == "rMOT")
+    assert any(
+        e[2] == "rMOT" and e[3] > emptied for e in result.demotion_log
+    ), result.demotion_log
+    assert fault_set.detected()
+    for record in fault_set.detected():
+        prefix = sequence[: record.detected_at]
+        assert mot_detectable(compiled, prefix, record.fault), (
+            f"{record.fault.describe(compiled)} claimed by "
+            f"{record.detected_by} at frame {record.detected_at}"
+        )
 
 
 def test_tiny_node_limit_quarantines_only_offenders(ctr8_setup):

@@ -32,6 +32,40 @@ ROWS = [("mac10", 60), ("ctr16", 50)]
 PIPELINE_DETECTED = {"mac10": 17, "ctr16": 5}
 
 
+# (peak_nodes, fallbacks, detections) of the campaign at the paper
+# configuration, recorded before the kernel folded its terminal cases:
+# folding must not change which BDD operations run or in which order,
+# so node creation, overflow points and verdicts stay where they were
+PINNED_CAMPAIGN = {
+    "mac10": (30000, 7, {
+        ((("branch", 20, 1), 0), "MOT", 47),
+        ((("branch", 20, 1), 1), "MOT", 47),
+        ((("branch", 31, 1), 0), "MOT", 28),
+        ((("branch", 31, 1), 1), "MOT", 23),
+        ((("branch", 49, 1), 1), "MOT", 23),
+        ((("stem", 0), 0), "MOT", 26),
+        ((("stem", 11), 0), "MOT", 26),
+        ((("stem", 11), 1), "MOT", 16),
+        ((("stem", 31), 1), "MOT", 23),
+        ((("stem", 33), 0), "MOT", 26),
+        ((("stem", 33), 1), "MOT", 16),
+        ((("stem", 36), 0), "MOT", 47),
+        ((("stem", 62), 1), "MOT", 25),
+        ((("stem", 66), 1), "MOT", 23),
+        ((("stem", 67), 1), "MOT", 23),
+        ((("stem", 71), 0), "MOT", 26),
+        ((("stem", 71), 1), "MOT", 26),
+    }),
+    "ctr16": (30000, 4, {
+        ((("branch", 31, 1), 1), "MOT", 2),
+        ((("stem", 42), 1), "MOT", 32),
+        ((("stem", 44), 1), "MOT", 3),
+        ((("stem", 46), 1), "MOT", 2),
+        ((("stem", 48), 1), "3-valued", 1),
+    }),
+}
+
+
 def detected_keys(fault_set):
     return {r.fault.key() for r in fault_set.detected()}
 
@@ -70,6 +104,17 @@ def test_campaign_covers_the_table_pipeline(paper_row):
     # the overflow is met with interludes, not with demotions
     assert result.fallbacks > 0
     assert result.demotions == 0
+
+
+def test_campaign_node_order_is_pinned(paper_row):
+    name, _compiled, _faults, _sequence, campaign_set, result = paper_row
+    detections = {
+        (r.fault.key(), r.detected_by, r.detected_at)
+        for r in campaign_set.detected()
+    }
+    assert (result.peak_nodes, result.fallbacks, detections) == (
+        PINNED_CAMPAIGN[name]
+    )
 
 
 def test_campaign_verdicts_ignore_fault_order(paper_row):
