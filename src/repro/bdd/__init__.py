@@ -3,16 +3,11 @@
 Public surface:
 
 * :class:`~repro.bdd.manager.BddManager` with constants ``FALSE``/``TRUE``,
-* :class:`~repro.bdd.ordering.StateVariables` — x/y variable numbering
-  (and :class:`~repro.bdd.ordering.RemappedStateVariables`, its view
-  through a reorder-rescue renumbering),
+* :class:`~repro.bdd.ordering.StateVariables` — x/y variable numbering,
 * :class:`~repro.bdd.errors.SpaceLimitExceeded` — node-limit signal the
   hybrid fault simulator reacts to, and its subclass
-  :class:`~repro.bdd.errors.MemoryPressureExceeded` raised when the
-  pressure ladder surrenders,
-* :class:`~repro.bdd.pressure.PressureMonitor` /
-  :class:`~repro.bdd.pressure.PressureConfig` — watermark GC, cache
-  eviction and reorder rescue below the hard node limit,
+  :class:`~repro.bdd.errors.MemoryPressureExceeded` raised when a
+  session allocates past the governor's RSS surrender threshold,
 * :func:`~repro.bdd.dot.to_dot` — Graphviz export.
 """
 
@@ -23,14 +18,8 @@ from repro.bdd.errors import (
     VariableOrderError,
 )
 from repro.bdd.manager import FALSE, TRUE, BddManager
-from repro.bdd.ordering import RemappedStateVariables, StateVariables
-from repro.bdd.pressure import PressureConfig, PressureMonitor
-from repro.bdd.reorder import (
-    block_window_search,
-    reorder,
-    transfer,
-    window_search,
-)
+from repro.bdd.ordering import StateVariables
+from repro.bdd.reorder import reorder, transfer, window_search
 from repro.bdd.dot import to_dot
 
 __all__ = [
@@ -42,12 +31,8 @@ __all__ = [
     "MemoryPressureExceeded",
     "VariableOrderError",
     "StateVariables",
-    "RemappedStateVariables",
-    "PressureConfig",
-    "PressureMonitor",
     "reorder",
     "transfer",
     "window_search",
-    "block_window_search",
     "to_dot",
 ]

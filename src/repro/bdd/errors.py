@@ -27,18 +27,19 @@ class SpaceLimitExceeded(BddError):
 
 
 class MemoryPressureExceeded(SpaceLimitExceeded):
-    """Process memory crossed the hard pressure watermark.
+    """Process memory crossed the governor's surrender threshold.
 
-    Raised by the pressure monitor when the cheap relief rungs (cache
-    eviction, garbage collection, reorder rescue) could not bring the
-    resident set back under the hard watermark.  Subclassing
-    :class:`SpaceLimitExceeded` means the campaign frame loop handles
-    memory pressure exactly like a node-limit overflow: evidence about
-    the whole group, answered with garbage collection and then a
-    three-valued interlude, never with a per-fault demotion.
+    Raised from a session's node allocation by
+    :class:`~repro.runtime.governor.ResourceGovernor` once the resident
+    set reaches 0.9 of its RSS budget (and by the ``pressure.evict``
+    failpoint).  Subclassing :class:`SpaceLimitExceeded` means the
+    campaign frame loop handles memory pressure exactly like a
+    node-limit overflow: evidence about the whole group, answered with
+    garbage collection and then a three-valued interlude, never with a
+    per-fault demotion.
 
-    ``limit`` is the hard watermark in bytes, ``requested`` the observed
-    resident set size.
+    ``limit`` is the surrender threshold in bytes, ``requested`` the
+    observed resident set size.
     """
 
     def __init__(self, limit, observed):
@@ -46,8 +47,8 @@ class MemoryPressureExceeded(SpaceLimitExceeded):
         self.requested = observed
         BddError.__init__(
             self,
-            f"memory pressure: RSS {observed} bytes over hard "
-            f"watermark {limit}",
+            f"memory pressure: RSS {observed} bytes over surrender "
+            f"threshold {limit}",
         )
 
 

@@ -775,23 +775,6 @@ class BddManager:
             "cache_size": len(self._cache),
         }
 
-    def carry_stats_from(self, other):
-        """Fold *other*'s lifetime counters into this manager.
-
-        Used when a reorder rescue rebuilds the session in a fresh
-        manager: the new manager continues the old one's accounting so
-        per-session stats stay cumulative across the swap.
-        """
-        self.stat_ite_calls += other.stat_ite_calls
-        self._nodes_dropped += other.stat_nodes_created
-        self.stat_cache_hits += other.stat_cache_hits
-        self.stat_cache_misses += other.stat_cache_misses
-        self.stat_cache_evictions += other.stat_cache_evictions
-        self.stat_entries_evicted += other.stat_entries_evicted
-        self.stat_gc_runs += other.stat_gc_runs
-        if other._count_cache:
-            self.enable_stats()
-
     def __repr__(self):
         return (
             f"BddManager({self.num_vars} vars, {self.num_nodes} nodes, "

@@ -56,46 +56,3 @@ class StateVariables:
     def _check(self, i):
         if not 0 <= i < self.num_dffs:
             raise IndexError(f"state bit {i} out of range 0..{self.num_dffs - 1}")
-
-
-class RemappedStateVariables:
-    """A :class:`StateVariables` view through a variable renumbering.
-
-    Produced by the reorder rescue of a symbolic session: after a
-    :func:`~repro.bdd.reorder.block_window_search` moved the
-    ``(x_i, y_i)`` pairs around, the session keeps addressing state
-    bits by position and this wrapper translates to the post-reorder
-    variable numbers.  *var_map* maps the base scheme's variable
-    numbers to the new manager's.  Wrappers compose — a second rescue
-    simply stacks another one on top.
-
-    Because a rescue permutes whole pairs, ``x(i) < y(i)`` for every
-    pair and pairs never interleave, so ``x_to_y()`` remains monotone
-    and the MOT rename keeps working unchanged.
-    """
-
-    def __init__(self, base, var_map):
-        self._base = base
-        self._map = dict(var_map)
-        self.num_dffs = base.num_dffs
-        self.scheme = base.scheme
-
-    def x(self, i):
-        return self._map[self._base.x(i)]
-
-    def y(self, i):
-        return self._map[self._base.y(i)]
-
-    def x_vars(self):
-        return [self.x(i) for i in range(self.num_dffs)]
-
-    def y_vars(self):
-        return [self.y(i) for i in range(self.num_dffs)]
-
-    def x_to_y(self):
-        """The rename mapping used by the MOT compose step."""
-        return {self.x(i): self.y(i) for i in range(self.num_dffs)}
-
-    @property
-    def num_vars(self):
-        return self._base.num_vars

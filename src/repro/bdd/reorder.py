@@ -19,7 +19,6 @@ outlive a simulation run.
 
 from itertools import permutations
 
-from repro.bdd.errors import SpaceLimitExceeded
 from repro.bdd.manager import BddManager
 
 _EXPAND = 0
@@ -135,65 +134,3 @@ def window_search(manager, roots, window=3, passes=1):
     final_manager, final_roots, _ = reorder(manager, roots,
                                             current_order)
     return final_manager, final_roots, current_order
-
-
-def block_window_search(manager, roots, blocks, window=2, passes=1,
-                        node_limit=None):
-    """Window-permutation search over contiguous variable *blocks*.
-
-    Like :func:`window_search`, but the permutation unit is a *block*
-    of variables that must stay contiguous and internally ordered.
-    This is the shape the symbolic fault simulator needs: its
-    interleaved ``(x_i, y_i)`` pairs may move as units without breaking
-    the monotonicity of the MOT ``x -> y`` rename, while splitting a
-    pair would.
-
-    *blocks* lists tuples of ORIGINAL variable numbers; together they
-    must cover the support of *roots*.  Candidate rebuilds honour
-    *node_limit* — a candidate that overflows is simply skipped, so the
-    search itself can never blow up past the caller's budget.
-
-    Returns ``(new_manager, new_roots, var_map)`` for the best
-    arrangement found, or None when no rearrangement beats the current
-    one (callers keep their manager untouched in that case).
-    """
-    blocks = [tuple(block) for block in blocks]
-
-    def var_order(block_order):
-        order = []
-        for position in block_order:
-            order.extend(blocks[position])
-        return order
-
-    def rebuild(block_order):
-        return reorder(manager, roots, var_order(block_order),
-                       node_limit=node_limit)
-
-    current = list(range(len(blocks)))
-    best_size = manager.size(roots)
-
-    for _pass in range(passes):
-        improved = False
-        for start in range(0, max(1, len(current) - window + 1)):
-            head = current[:start]
-            body = current[start:start + window]
-            tail = current[start + window:]
-            for perm in permutations(body):
-                if list(perm) == body:
-                    continue
-                candidate = head + list(perm) + tail
-                try:
-                    cand_manager, cand_roots, _ = rebuild(candidate)
-                except SpaceLimitExceeded:
-                    continue
-                size = cand_manager.size(cand_roots)
-                if size < best_size:
-                    best_size = size
-                    current = candidate
-                    improved = True
-        if not improved:
-            break
-
-    if current == list(range(len(blocks))):
-        return None
-    return rebuild(current)

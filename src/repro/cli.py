@@ -160,37 +160,6 @@ def _build_governor(args):
     )
 
 
-def _pressure_config(args):
-    """A PressureConfig when any pressure flag is set (else None).
-
-    With only ``--rss-budget``/``--cache-budget`` the campaign would
-    derive an equivalent config from the governor; building it here
-    too keeps the explicit flags (``--gc-watermark``,
-    ``--reorder-rescue``) on the same path.
-    """
-    rss_budget = getattr(args, "rss_budget", None)
-    cache_budget = getattr(args, "cache_budget", None)
-    gc_watermark = getattr(args, "gc_watermark", None)
-    reorder_rescue = getattr(args, "reorder_rescue", False)
-    if (
-        rss_budget is None
-        and cache_budget is None
-        and gc_watermark is None
-        and not reorder_rescue
-    ):
-        return None
-    from repro.bdd.pressure import DEFAULT_GC_WATERMARK, PressureConfig
-
-    return PressureConfig(
-        gc_watermark=(
-            DEFAULT_GC_WATERMARK if gc_watermark is None else gc_watermark
-        ),
-        cache_budget=cache_budget,
-        rss_budget=rss_budget,
-        reorder_rescue=reorder_rescue,
-    )
-
-
 def _disk_kwargs(args):
     """Disk-governor keywords for run_campaign (empty = ungoverned)."""
     budget = getattr(args, "disk_budget", None)
@@ -356,7 +325,6 @@ def _resume_any(args, guard, obs):
             governor=_build_governor(args),
             signal_guard=guard,
             config=config,
-            pressure=_pressure_config(args),
             **obs_kwargs,
         )
         return compiled, fault_set, checkpoint.sequence, result
@@ -377,7 +345,6 @@ def _resume_any(args, guard, obs):
         governor=_build_governor(args),
         checkpoint_every=args.checkpoint_every,
         signal_guard=guard,
-        pressure=_pressure_config(args),
         **_disk_kwargs(args),
         **obs_kwargs,
     )
@@ -417,7 +384,6 @@ def cmd_campaign(args):
                     fallback_frames=args.fallback_frames,
                     signal_guard=guard,
                     circuit_spec=args.circuit,
-                    pressure=_pressure_config(args),
                     **_disk_kwargs(args),
                     **obs_kwargs,
                     **_fabric_kwargs(args),
@@ -449,7 +415,8 @@ def cmd_simulate(args):
         or args.checkpoint
         or args.workers is not None
         or args.audit != "off"
-        or _pressure_config(args) is not None
+        or args.rss_budget is not None
+        or args.cache_budget is not None
         or _disk_kwargs(args)
         or obs.active
     ):
@@ -481,7 +448,6 @@ def cmd_simulate(args):
                     # the pre-passes classify once, before the first pass
                     xred=index == 0 and not args.no_xred,
                     pre_pass_3v=index == 0,
-                    pressure=_pressure_config(args),
                     **_disk_kwargs(args),
                     **obs_kwargs,
                     **_fabric_kwargs(args),
@@ -764,19 +730,13 @@ def build_parser():
     def _add_pressure_options(p):
         p.add_argument("--rss-budget", type=_size, default=None,
                        metavar="SIZE",
-                       help="process RSS budget (512M, 2G, ...): "
-                            "watermark relief below it, graceful "
-                            "checkpointed stop above it")
+                       help="process RSS budget (512M, 2G, ...): at 0.9 "
+                            "of it a growing BDD session falls back to "
+                            "3-valued simulation, above it the run "
+                            "stops, checkpointed")
         p.add_argument("--cache-budget", type=int, default=None,
                        metavar="ENTRIES",
                        help="computed-table entries before eviction")
-        p.add_argument("--gc-watermark", type=float, default=None,
-                       metavar="FRACTION",
-                       help="unique-table fill fraction that triggers "
-                            "root-preserving GC (default 0.85)")
-        p.add_argument("--reorder-rescue", action="store_true",
-                       help="try a variable-window reorder of the "
-                            "session before surrendering to fallback")
 
     def _add_disk_options(p):
         p.add_argument("--disk-budget", type=_size, default=None,

@@ -336,14 +336,8 @@ CATALOG = (
          "MemoryError at the Nth BDD node allocation",
          "group surrender: GC-retry, then a 3v interlude — "
          "conservative verdicts, never invented detections"),
-    Site("pressure.evict", "bdd.pressure",
-         "the cache-eviction relief rung fails",
-         "MemoryPressureExceeded surrender through the group protocol"),
-    Site("pressure.gc", "bdd.pressure",
-         "the frame-boundary GC relief rung fails",
-         "MemoryPressureExceeded surrender through the group protocol"),
-    Site("pressure.rescue", "bdd.pressure",
-         "the reorder-rescue relief rung fails",
+    Site("pressure.evict", "runtime.governor",
+         "the governor's computed-table eviction fails",
          "MemoryPressureExceeded surrender through the group protocol"),
     Site("fabric.heartbeat.drop", "runtime.fabric",
          "a worker heartbeat is silently dropped",

@@ -126,8 +126,6 @@ def profile_trace(path, top=10):
                 totals["checkpoints_written"] += 1
             elif name == "pressure":
                 totals["pressure_events"] += 1
-                if record.get("action") == "gc":
-                    totals["gc_runs"] += 1
             elif name == "disk":
                 totals["disk_events"] += 1
             elif name == "failpoint":

@@ -13,7 +13,7 @@ dead-stream guard):
   you watch a campaign started in another shell with ``--checkpoint``.
 
 On top of the base line, :class:`TopLine` renders the operator
-signals the plain progress line omits: per-worker RSS, pressure rung
+signals the plain progress line omits: per-worker RSS, ladder rung
 population and cumulative BDD-node effort.
 """
 

@@ -136,8 +136,7 @@ class CoverageReport:
             pressure = r.get("pressure")
             if pressure is not None:
                 detail = []
-                for key in ("cache_evictions", "gc_runs",
-                            "reorder_rescues", "nodes_freed"):
+                for key in ("cache_evictions", "rss_surrenders"):
                     if pressure.get(key):
                         detail.append(f"{key.replace('_', ' ')} "
                                       f"{pressure[key]}")

@@ -45,17 +45,13 @@ resumes from consistent state.  Any fallback, demotion or resume makes
 the classification conservative: the result is flagged
 ``exact=False``.
 
-Below the node-limit boundary the campaign can additionally arm the
-in-engine **pressure ladder** (:mod:`repro.bdd.pressure`): every
-symbolic session gets a :class:`~repro.bdd.pressure.PressureMonitor`
-that evicts the computed table, garbage-collects and (optionally)
-reorder-rescues *before* any of the surrender paths above fire.  Those
-relief rungs are semantics-preserving, so they never affect
-``exact``; a pressure *surrender*
-(:class:`~repro.bdd.errors.MemoryPressureExceeded`) flows through the
-regular group overflow protocol.  Pressure activity is
-aggregated into :attr:`CampaignResult.pressure` and the checkpoint
-counters.
+The overflow protocol above is the campaign's only memory policy.  The
+governor's memory budgets feed into it: a ``cache_budget`` evicts
+computed-table entries (semantics-preserving, so ``exact`` never
+moves), and a session allocating past 0.9 of the ``rss_budget``
+surrenders with :class:`~repro.bdd.errors.MemoryPressureExceeded`,
+which is handled like any overflow.  Evictions and surrenders are
+counted in :attr:`CampaignResult.pressure` and the checkpoint counters.
 """
 
 import time
@@ -63,7 +59,6 @@ import warnings
 
 from repro import failpoints as _failpoints
 from repro.bdd.errors import MemoryPressureExceeded, SpaceLimitExceeded
-from repro.bdd.pressure import PressureConfig
 from repro.engines.algebra import THREE_VALUED
 from repro.engines.evaluate import next_state_of, simulate_frame
 from repro.engines.parallel_fault_sim import fault_simulate_3v_parallel
@@ -174,11 +169,9 @@ class CampaignResult:
         #: so fabric-merged results carry it too)
         self.audit = None
         #: memory-pressure accounting dict (events, cache_evictions,
-        #: gc_runs, reorder_rescues, rss_surrenders, peak_rss, log),
-        #: None when no pressure ladder was armed and nothing fired.
-        #: The relief rungs are semantics-preserving, so this never
-        #: influences :attr:`exact` — only surrenders do, and those
-        #: already show up as fallbacks/demotions.
+        #: rss_surrenders, peak_rss), None when the governor set no
+        #: memory budget and nothing fired.  Evictions never influence
+        #: :attr:`exact`; surrenders show up as fallbacks.
         self.pressure = pressure
         #: disk-pressure accounting dict (usage, watermark crossings,
         #: compactions, reclaimed bytes, interval stretches), None when
@@ -208,15 +201,7 @@ class CampaignResult:
         which restores counts but not logs) count as ``unrecorded`` so
         the breakdown always sums to :attr:`demotions`.
         """
-        reasons = {}
-        for entry in self.demotion_log:
-            reason = entry[4] if len(entry) > 4 and entry[4] else None
-            reason = reason or "unattributed"
-            reasons[reason] = reasons.get(reason, 0) + 1
-        recorded = sum(reasons.values())
-        if recorded < self.demotions:
-            reasons["unrecorded"] = self.demotions - recorded
-        return dict(sorted(reasons.items()))
+        return _demotion_reasons(self.demotion_log, self.demotions)
 
     def runtime_summary(self):
         """Accounting dict for reports and JSON export."""
@@ -317,7 +302,6 @@ class Campaign:
         circuit_spec=None,
         xred=True,
         pre_pass_3v=True,
-        pressure=None,
         disk=None,
         tracer=None,
         metrics=None,
@@ -365,21 +349,6 @@ class Campaign:
         # exactly against its own trace events
         self._trace_base = {}
 
-        # memory-pressure policy: an explicit PressureConfig (or its
-        # JSON dict, as shipped across the shard fabric) wins; absent
-        # one, a governor carrying rss/cache budgets arms a default
-        # ladder so --rss-budget alone activates in-engine relief
-        if isinstance(pressure, dict):
-            pressure = PressureConfig.from_json(pressure)
-        if pressure is None and (
-            self.governor.rss_budget is not None
-            or self.governor.cache_budget is not None
-        ):
-            pressure = PressureConfig(
-                rss_budget=self.governor.rss_budget,
-                cache_budget=self.governor.cache_budget,
-            )
-        self.pressure = pressure
         # disk-pressure policy: a DiskConfig (or its JSON dict) arms
         # the disk governor over this campaign's own artifacts — the
         # checkpoint file is the one that grows without bound.  The
@@ -399,11 +368,7 @@ class Campaign:
         self._base_checkpoint_every = self.checkpoint_every
         self.pressure_events = 0
         self.cache_evictions = 0
-        self.pressure_gc_runs = 0
-        self.reorder_rescues = 0
         self.rss_surrenders = 0
-        self.pressure_log = []  # capped event dicts, for accounting
-        self._event_peak_rss = 0  # highest RSS reported by any monitor
 
         if initial_state is None:
             initial_state = [threeval.X] * compiled.num_dffs
@@ -449,7 +414,6 @@ class Campaign:
         checkpoint_every=DEFAULT_CHECKPOINT_EVERY,
         progress_hook=None,
         signal_guard=None,
-        pressure=None,
         disk=None,
         tracer=None,
         metrics=None,
@@ -490,7 +454,6 @@ class Campaign:
             circuit_spec=checkpoint.circuit_spec,
             xred=False,
             pre_pass_3v=False,
-            pressure=pressure,
             disk=disk,
             tracer=tracer,
             metrics=metrics,
@@ -507,8 +470,6 @@ class Campaign:
         campaign.peak_nodes = counters.get("peak_nodes", 2)
         campaign.pressure_events = counters.get("pressure_events", 0)
         campaign.cache_evictions = counters.get("cache_evictions", 0)
-        campaign.pressure_gc_runs = counters.get("pressure_gc_runs", 0)
-        campaign.reorder_rescues = counters.get("reorder_rescues", 0)
         campaign.rss_surrenders = counters.get("rss_surrenders", 0)
         campaign.ladder_state.demotions = counters.get("demotions", 0)
         campaign.governor.nodes_allocated = counters.get("nodes_allocated", 0)
@@ -562,6 +523,9 @@ class Campaign:
             ladder=self.ladder.names(),
             resumed_from=self.resumed_from,
         )
+        # the governor reports its cache evictions back; unhooked after
+        # the run so the governor does not keep this campaign alive
+        self.governor.on_evict = self._on_pressure_event
         with _failpoints.observed_by(self.tracer, self.metrics):
             try:
                 if not self._attached:
@@ -572,6 +536,7 @@ class Campaign:
                         return self._finish(stopped_early)
                 return self._main_loop()
             finally:
+                self.governor.on_evict = None
                 if self._writer is not None:
                     self._writer.close()
 
@@ -849,12 +814,6 @@ class Campaign:
             session.fault_cost_hook = self._note_fault_cost
         elif governor_hook is not None:
             session.fault_cost_hook = governor_hook
-        if self.pressure is not None:
-            # governor hook first, monitor chained after it — relief
-            # fires only once budget metering has seen the allocation
-            session.attach_pressure(
-                self.pressure.monitor(on_event=self._on_pressure_event)
-            )
         for key, record in group.records.items():
             session.attach_fault(record, group.diffs.get(key))
         group.records = {}
@@ -1096,31 +1055,15 @@ class Campaign:
     # ------------------------------------------------------------------
     # memory-pressure bookkeeping
     # ------------------------------------------------------------------
-    _PRESSURE_LOG_CAP = 128
-
     def _on_pressure_event(self, event):
-        """Aggregate one monitor event into the campaign counters."""
+        """Count one eviction or surrender and trace it."""
         self.pressure_events += 1
-        action = event.get("action")
-        if action == "evict":
+        if event["action"] == "evict":
             self.cache_evictions += 1
-        elif action == "gc":
-            self.pressure_gc_runs += 1
-            self.gc_runs += 1  # a watermark GC is still a GC run
-        elif action == "rescue":
-            self.reorder_rescues += 1
-        elif action == "surrender":
+        else:
             self.rss_surrenders += 1
-        rss = event.get("rss")
-        if rss is not None and rss > self._event_peak_rss:
-            self._event_peak_rss = rss
-        if len(self.pressure_log) < self._PRESSURE_LOG_CAP:
-            entry = dict(event)
-            entry["frame"] = self.frame
-            self.pressure_log.append(entry)
         if self.tracer.enabled:
-            payload = {k: v for k, v in event.items() if k != "frame"}
-            self.tracer.event("pressure", frame=self.frame, **payload)
+            self.tracer.event("pressure", frame=self.frame, **event)
 
     def _note_surrender(self, exc):
         """Record a pressure surrender (only MemoryPressureExceeded)."""
@@ -1136,16 +1079,18 @@ class Campaign:
 
     def _pressure_accounting(self):
         """The ``pressure`` dict of the result; None when inert."""
-        if self.pressure is None and self.pressure_events == 0:
+        governor = self.governor
+        if (
+            governor.rss_budget is None
+            and governor.cache_budget is None
+            and self.pressure_events == 0
+        ):
             return None
         return {
             "events": self.pressure_events,
             "cache_evictions": self.cache_evictions,
-            "gc_runs": self.pressure_gc_runs,
-            "reorder_rescues": self.reorder_rescues,
             "rss_surrenders": self.rss_surrenders,
-            "peak_rss": max(self.governor.peak_rss, self._event_peak_rss),
-            "log": list(self.pressure_log),
+            "peak_rss": governor.peak_rss,
         }
 
     # ------------------------------------------------------------------
@@ -1278,11 +1223,8 @@ class Campaign:
         if not self.tracer.enabled:
             return
         base = self._trace_base
-        reasons = {}
-        for entry in self.ladder_state.demotion_log:
-            reason = entry[4] if len(entry) > 4 and entry[4] else None
-            reason = reason or "unattributed"
-            reasons[reason] = reasons.get(reason, 0) + 1
+        # the log restarts on resume, so it holds this run's demotions
+        demotions = self.ladder_state.demotions - base.get("demotions", 0)
         summary = {
             "stopped": stopped,
             "frames_total": self.frame,
@@ -1290,10 +1232,10 @@ class Campaign:
             "frames_three_valued": self.frames_three_valued,
             "fallbacks": self.fallbacks - base.get("fallbacks", 0),
             "gc_runs": self.gc_runs - base.get("gc_runs", 0),
-            "demotions": (
-                self.ladder_state.demotions - base.get("demotions", 0)
+            "demotions": demotions,
+            "demotion_reasons": _demotion_reasons(
+                self.ladder_state.demotion_log, demotions
             ),
-            "demotion_reasons": dict(sorted(reasons.items())),
             "quarantined": (
                 len(self.quarantined) - base.get("quarantined", 0)
             ),
@@ -1437,8 +1379,6 @@ class Campaign:
             "nodes_allocated": self.governor.nodes_allocated,
             "pressure_events": self.pressure_events,
             "cache_evictions": self.cache_evictions,
-            "pressure_gc_runs": self.pressure_gc_runs,
-            "reorder_rescues": self.reorder_rescues,
             "rss_surrenders": self.rss_surrenders,
         }
         if self._disk is not None:
@@ -1488,9 +1428,7 @@ class Campaign:
             # the cumulative BDD-node effort so throughput and ETA can
             # be derived without guessing at wall-clock skew
             "monotonic": round(time.monotonic(), 3),
-            "nodes_allocated": getattr(
-                self.governor, "nodes_allocated", 0
-            ),
+            "nodes_allocated": self.governor.nodes_allocated,
         }
 
     def _emit_progress(self, final=False):
@@ -1539,6 +1477,19 @@ class Campaign:
         )
 
 
+def _demotion_reasons(demotion_log, demotions):
+    """Demotion counts by reason; see :meth:`CampaignResult.demotion_reasons`."""
+    reasons = {}
+    for entry in demotion_log:
+        reason = entry[4] if len(entry) > 4 and entry[4] else None
+        reason = reason or "unattributed"
+        reasons[reason] = reasons.get(reason, 0) + 1
+    recorded = sum(reasons.values())
+    if recorded < demotions:
+        reasons["unrecorded"] = demotions - recorded
+    return dict(sorted(reasons.items()))
+
+
 def _rebase(diff, old_good, new_good):
     """Re-express a three-valued state diff against another good state."""
     if old_good is new_good:
@@ -1571,7 +1522,7 @@ def run_campaign(compiled, sequence, fault_set, **kwargs):
     Accepts every :class:`Campaign` keyword (strategy, ladder,
     node_limit, governor, checkpoint_path, checkpoint_every,
     fallback_frames, initial_state, variable_scheme, progress_hook,
-    signal_guard, circuit_spec, xred, pre_pass_3v, pressure, tracer,
+    signal_guard, circuit_spec, xred, pre_pass_3v, disk, tracer,
     metrics) and returns a :class:`CampaignResult`.
 
     Passing ``workers`` (or any other shard-fabric keyword:
@@ -1686,7 +1637,6 @@ def resume_campaign(
     checkpoint_every=DEFAULT_CHECKPOINT_EVERY,
     progress_hook=None,
     signal_guard=None,
-    pressure=None,
     disk=None,
     tracer=None,
     metrics=None,
@@ -1735,7 +1685,6 @@ def resume_campaign(
         checkpoint_every=checkpoint_every,
         progress_hook=progress_hook,
         signal_guard=signal_guard,
-        pressure=pressure,
         disk=disk,
         tracer=tracer,
         metrics=metrics,

@@ -10,7 +10,7 @@ A checkpoint file is append-only JSON-lines:
   :class:`~repro.runtime.errors.CheckpointMismatch`),
 * periodic ``checkpoint`` records — frame index, the conservative
   three-valued good state, per-fault status / rung / three-valued
-  state diff, RNG state and the campaign counters,
+  state diff and the campaign counters,
 * periodic ``progress`` records (informational only).
 
 Every record carries ``"version": 1``; readers reject other versions.

@@ -23,8 +23,7 @@ class BudgetExceeded(ReproError):
     """A resource governor budget was exhausted.
 
     ``kind`` is one of ``"deadline"``, ``"nodes"``, ``"rss"`` (process
-    resident set size over the RSS budget after in-engine pressure
-    relief failed to hold it) or ``"fault-frame-nodes"`` /
+    resident set size over the RSS budget) or ``"fault-frame-nodes"`` /
     ``"fault-frame-events"`` (per-fault frame cost).  ``fault_key`` is
     set when the violation is attributable to
     a single fault, in which case the campaign demotes that fault on

@@ -83,25 +83,22 @@ _HANG_WINDOW_FLOOR = 1.0
 
 
 def _merge_pressure(merged, shard_pressure):
-    """Fold one shard's pressure accounting into the running total.
+    """Fold one shard's memory-pressure accounting into the total.
 
-    Relief counters are summed (work accounting, like ``gc_runs``),
-    ``peak_rss`` is the max over shards; per-event logs stay per-shard
-    and are dropped from the merged view.
+    The counters are summed and ``peak_rss`` is the max over shards.
+    Only these keys are read, so a shard summary restored from an older
+    checkpoint (which may carry further keys) merges the same way.
     """
-    if shard_pressure is None:
+    if not shard_pressure:
         return merged
     if merged is None:
         merged = {
             "events": 0,
             "cache_evictions": 0,
-            "gc_runs": 0,
-            "reorder_rescues": 0,
             "rss_surrenders": 0,
             "peak_rss": 0,
         }
-    for key in ("events", "cache_evictions", "gc_runs",
-                "reorder_rescues", "rss_surrenders"):
+    for key in ("events", "cache_evictions", "rss_surrenders"):
         merged[key] += shard_pressure.get(key, 0)
     merged["peak_rss"] = max(
         merged["peak_rss"], shard_pressure.get("peak_rss") or 0
@@ -179,7 +176,7 @@ class FabricConfig:
         #: per-worker resident-set cap in bytes: a worker whose last
         #: heartbeat reported more is SIGKILLed and its shard retried on
         #: a fresh process — the pool-level backstop behind the
-        #: in-engine pressure ladder (None disables the cap)
+        #: governor's RSS budget (None disables the cap)
         self.worker_rss_cap = worker_rss_cap
 
     def to_json(self):
@@ -280,12 +277,10 @@ class ShardFabric:
         signal_guard=None,
         config=None,
         resume_from=None,
-        pressure=None,
         tracer=None,
         metrics=None,
         progress_hook=None,
     ):
-        from repro.bdd.pressure import PressureConfig
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.tracer import NULL_TRACER
         from repro.symbolic.hybrid import DEFAULT_NODE_LIMIT
@@ -318,12 +313,6 @@ class ShardFabric:
         self.signal_guard = signal_guard
         self.config = config or FabricConfig()
         self.resume_from = resume_from
-        # the pressure policy is shipped to workers as its JSON dict;
-        # each worker rebuilds a PressureConfig and samples its *own*
-        # process RSS against it
-        if isinstance(pressure, dict):
-            pressure = PressureConfig.from_json(pressure)
-        self.pressure = pressure
 
         # observability: workers trace into canonical (wall-free)
         # in-memory sinks and ship records + metric snapshots home in
@@ -480,11 +469,8 @@ class ShardFabric:
             "chaos": self.config.chaos,
             # ship the active failpoint spec so worker-side sites
             # (heartbeat drop/dup, stall, pipe truncate, bdd.alloc,
-            # pressure rungs) fire in the pool exactly as inline
+            # pressure.evict) fire in the pool exactly as inline
             "failpoints": _failpoints.active_spec(),
-            "pressure": (
-                self.pressure.to_json() if self.pressure is not None else None
-            ),
             "observe": self._observe,
         }
 
@@ -1005,9 +991,6 @@ class ShardFabric:
             "variable_scheme": self.variable_scheme,
             "xred": self.xred,
             "pre_pass_3v": self.pre_pass_3v,
-            "pressure": (
-                self.pressure.to_json() if self.pressure is not None else None
-            ),
         }
 
     # ------------------------------------------------------------------
@@ -1247,9 +1230,8 @@ def run_sharded_campaign(compiled, sequence, fault_set, **kwargs):
     given either as a ``config=FabricConfig(...)`` or via the common
     shortcuts ``workers`` / ``shard_size`` / ``shard_timeout`` /
     ``heartbeat_timeout`` / ``max_retries`` / ``worker_rss_cap``.
-    A ``pressure=PressureConfig(...)`` (or its JSON dict) is shipped to
-    every worker, which runs the in-engine relief ladder against its
-    own process RSS.  Returns a merged
+    Every worker applies the governor's memory budgets against its own
+    process RSS and computed tables.  Returns a merged
     :class:`~repro.runtime.campaign.CampaignResult` whose
     ``runtime_summary()`` carries a ``"fabric"`` accounting block.
     """

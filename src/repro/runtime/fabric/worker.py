@@ -140,9 +140,9 @@ class WorkerGovernor(ResourceGovernor):
         super().check_frame(frame, pack=pack)
         self._maybe_beat(frame)
 
-    def note_node(self):
+    def note_node(self, manager=None):
         if self._metered:
-            super().note_node()
+            super().note_node(manager)
         self._since_beat += 1
         if self._since_beat >= _BEAT_STRIDE:
             self._since_beat = 0
@@ -265,9 +265,6 @@ def _campaign_kwargs(init, opts):
         "variable_scheme": init["variable_scheme"],
         "xred": init["xred"],
         "pre_pass_3v": init["pre_pass_3v"],
-        # pressure policy ships as its JSON dict; Campaign rebuilds the
-        # PressureConfig (each worker samples its own process RSS)
-        "pressure": init.get("pressure"),
     }
 
 

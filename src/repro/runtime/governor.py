@@ -1,6 +1,6 @@
 """Cooperative resource budgets for long fault-simulation runs.
 
-A :class:`ResourceGovernor` owns four independent budgets:
+A :class:`ResourceGovernor` owns five independent budgets:
 
 * **wall-clock deadline** — checked between frames
   (:meth:`check_frame`) and, because a single pathological frame can
@@ -15,19 +15,21 @@ A :class:`ResourceGovernor` owns four independent budgets:
   number of differing signals it may touch (three-valued rung),
 * **process RSS** — the resident set size sampled from
   ``/proc/self/statm`` (via :class:`~repro.runtime.memory.RssSampler`,
-  throttled to the same allocation stride as the clock).  This is the
-  *last line*: the in-engine pressure ladder
-  (:mod:`repro.bdd.pressure`) relieves below the budget; the governor
-  stops the campaign gracefully — checkpoint intact — when relief
-  could not hold the line.
+  throttled to the same allocation stride as the clock).  At
+  :data:`RSS_SURRENDER_FRACTION` of the budget an allocating session
+  surrenders with :class:`~repro.bdd.errors.MemoryPressureExceeded`,
+  which the campaign answers like a node-limit overflow (GC, then a
+  three-valued interlude); at the budget itself the campaign stops
+  gracefully, checkpoint intact,
+* **computed-table entries** — on the same stride, an allocating
+  manager whose computed table holds more than ``cache_budget``
+  entries drops its older half.  The table is pure memoisation, so
+  eviction never changes a result.
 
-``cache_budget`` rides along as configuration only: the governor does
-not police the computed table itself, it hands the value to the
-pressure ladder (which evicts) and reports it in accounting.
-
-All checks raise :class:`~repro.runtime.errors.BudgetExceeded`; the
-per-fault checks tag the exception with the offending ``fault_key`` so
-the campaign can demote just that fault instead of stopping.
+The budget checks raise :class:`~repro.runtime.errors.BudgetExceeded`;
+the per-fault checks tag the exception with the offending
+``fault_key`` so the campaign can demote just that fault instead of
+stopping.
 
 The governor is *cooperative*: nothing is preempted, the simulators
 simply call in at safe points, which is what keeps a raised budget from
@@ -36,14 +38,21 @@ corrupting session state (a :meth:`SymbolicSession.step
 session untouched).
 """
 
+import functools
 import time as _time
+import weakref
 
+from repro import failpoints as _failpoints
+from repro.bdd.errors import MemoryPressureExceeded
 from repro.runtime.errors import BudgetExceeded
 from repro.runtime.memory import RssSampler
 
 # check the wall clock only every N node allocations: a monotonic clock
 # read per mk() would dominate the BDD package's runtime.
 _CLOCK_STRIDE = 1024
+
+#: fraction of the RSS budget at which an allocating session surrenders
+RSS_SURRENDER_FRACTION = 0.9
 
 
 class ResourceGovernor:
@@ -62,6 +71,15 @@ class ResourceGovernor:
     ):
         if deadline is not None and deadline < 0:
             raise ValueError("deadline must be >= 0 seconds")
+        for name, value in (
+            ("node_budget", node_budget),
+            ("fault_frame_nodes", fault_frame_nodes),
+            ("fault_frame_events", fault_frame_events),
+            ("rss_budget", rss_budget),
+            ("cache_budget", cache_budget),
+        ):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0")
         self.deadline = deadline
         self.node_budget = node_budget
         self.fault_frame_nodes = fault_frame_nodes
@@ -79,6 +97,9 @@ class ResourceGovernor:
         self._since_clock_check = 0
         self.frame = None  # current frame, for error context
         self.pack = None  # current pack of the word-parallel engine
+        #: called with one event dict per cache eviction; the campaign
+        #: folds it into its pressure accounting and trace
+        self.on_evict = None
 
     # ------------------------------------------------------------------
     def start(self, elapsed_before=0.0, nodes_before=0):
@@ -129,17 +150,20 @@ class ResourceGovernor:
         return rss
 
     def check_rss(self):
+        """Stop at the RSS budget; returns the sample (None when no
+        budget is set or RSS is unavailable)."""
         if self.rss_budget is None:
-            return
+            return None
         rss = self.sample_rss()
         if rss is not None and rss > self.rss_budget:
             raise BudgetExceeded(
                 "rss", self.rss_budget, rss, frame=self.frame,
                 pack=self.pack,
             )
+        return rss
 
-    def note_node(self):
-        """Node-allocation hook for :class:`BddManager.alloc_hook`."""
+    def note_node(self, manager=None):
+        """Node-allocation hook for *manager*'s ``alloc_hook``."""
         self.nodes_allocated += 1
         if (
             self.node_budget is not None
@@ -153,7 +177,40 @@ class ResourceGovernor:
         if self._since_clock_check >= _CLOCK_STRIDE:
             self._since_clock_check = 0
             self.check_deadline()
-            self.check_rss()
+            self._check_memory(manager)
+
+    def _check_memory(self, manager):
+        """The cache and RSS checks at allocation granularity.
+
+        Only the computed table may change here: in-flight traversals
+        hold node indices, so the node store stays as it is and
+        anything more drastic unwinds through an exception.
+        """
+        if (
+            self.cache_budget is not None
+            and manager is not None
+            and manager.cache_size > self.cache_budget
+        ):
+            if _failpoints.fire("pressure.evict"):
+                # eviction "fails": surrender through the group protocol
+                raise MemoryPressureExceeded(
+                    self.cache_budget, manager.cache_size
+                )
+            dropped = manager.evict_cache(0.5)
+            if self.on_evict is not None:
+                self.on_evict(
+                    {
+                        "action": "evict",
+                        "dropped": dropped,
+                        "cache_size": manager.cache_size,
+                    }
+                )
+        rss = self.check_rss()
+        if rss is None:
+            return
+        surrender = int(RSS_SURRENDER_FRACTION * self.rss_budget)
+        if rss >= surrender:
+            raise MemoryPressureExceeded(surrender, rss)
 
     def check_fault_frame_nodes(self, record, nodes):
         """Per-fault frame-cost hook for symbolic sessions."""
@@ -189,11 +246,12 @@ class ResourceGovernor:
             self.node_budget is not None
             or self.deadline is not None
             or self.rss_budget is not None
+            or self.cache_budget is not None
         )
 
     def attach_manager(self, manager):
-        """Meter *manager*'s node allocations (and the clock and RSS)
-        via mk().
+        """Meter *manager*'s node allocations (and the clock, RSS and
+        its computed table) via mk().
 
         Chains with any hook already installed (the ``bdd.alloc``
         failpoint arms one at manager construction) instead of
@@ -201,11 +259,15 @@ class ResourceGovernor:
         """
         if not self._wants_alloc_hook():
             return
+        note_node = self.note_node
+        if self.cache_budget is not None:
+            # the cache check evicts from the allocating manager; a
+            # proxy, so the manager's own hook does not keep it alive
+            note_node = functools.partial(note_node, weakref.proxy(manager))
         previous = manager.alloc_hook
         if previous is None:
-            manager.alloc_hook = self.note_node
+            manager.alloc_hook = note_node
         else:
-            note_node = self.note_node
 
             def chained(_previous=previous, _note=note_node):
                 _previous()

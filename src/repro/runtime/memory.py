@@ -4,7 +4,7 @@ A pure-Python BDD package is memory-bound long before it is CPU-bound:
 the node store, the unique table and the computed table all grow with
 the OBDDs, and nothing in the paper's 30,000-node space limit sees the
 actual process footprint.  This module supplies the one primitive the
-pressure ladder and the governor need — the current resident set size —
+governor's RSS budget needs — the current resident set size —
 without any dependency beyond the standard library.
 
 On Linux the value comes from one short read of ``/proc/self/statm``
@@ -14,6 +14,7 @@ that is unavailable the reader returns None and every RSS-based feature
 degrades to inert.
 """
 
+import math
 import os
 import sys
 
@@ -104,21 +105,28 @@ def parse_size(text):
     Used by the CLI's ``--rss-budget`` / ``--worker-rss-cap`` flags.
     Accepts a bare number (bytes), an optional one-letter binary suffix
     (K/M/G/T, case-insensitive) and an optional trailing ``b``/``iB``.
+    Negative and non-finite sizes raise :class:`ValueError`.
     """
     if isinstance(text, (int, float)):
-        return int(text)
-    raw = str(text).strip().lower()
-    for tail in ("ib", "b"):
-        if raw.endswith(tail) and len(raw) > len(tail):
-            raw = raw[: -len(tail)]
-            break
-    scale = 1
-    if raw and raw[-1] in _SIZE_SUFFIXES:
-        scale = _SIZE_SUFFIXES[raw[-1]]
-        raw = raw[:-1]
-    try:
-        return int(float(raw) * scale)
-    except ValueError:
+        value = text
+    else:
+        raw = str(text).strip().lower()
+        for tail in ("ib", "b"):
+            if raw.endswith(tail) and len(raw) > len(tail):
+                raw = raw[: -len(tail)]
+                break
+        scale = 1
+        if raw and raw[-1] in _SIZE_SUFFIXES:
+            scale = _SIZE_SUFFIXES[raw[-1]]
+            raw = raw[:-1]
+        try:
+            value = float(raw) * scale
+        except ValueError:
+            raise ValueError(
+                f"unparsable size {text!r} (expected e.g. 512M, 2G, 1048576)"
+            ) from None
+    if value < 0 or (isinstance(value, float) and not math.isfinite(value)):
         raise ValueError(
-            f"unparsable size {text!r} (expected e.g. 512M, 2G, 1048576)"
-        ) from None
+            f"size {text!r} must be a finite number of bytes >= 0"
+        )
+    return int(value)

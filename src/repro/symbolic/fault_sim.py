@@ -20,8 +20,6 @@ last node; the exception carries no fault attribution.
 
 from repro.bdd import BddManager, StateVariables
 from repro.bdd.manager import FALSE, TRUE
-from repro.bdd.ordering import RemappedStateVariables
-from repro.bdd.reorder import block_window_search
 from repro.engines.algebra import BddAlgebra
 from repro.engines.evaluate import next_state_of, outputs_of, simulate_frame
 from repro.engines.propagate import propagate_fault
@@ -71,10 +69,6 @@ class SymbolicSession:
         # governor uses it to bound per-fault frame cost.  A raising
         # hook aborts the step without mutating the session.
         self.fault_cost_hook = None
-        # optional PressureMonitor armed via attach_pressure(); step()
-        # offers it the frame boundary as a safe point for GC and
-        # reorder rescue
-        self.pressure = None
         # observability: the campaign swaps in a live tracer/registry
         # when --trace/--metrics are requested; detections then emit
         # events carrying the detection-function BDD size
@@ -110,96 +104,6 @@ class SymbolicSession:
         return [entry[0] for entry in self._store.values()]
 
     # ------------------------------------------------------------------
-    # memory pressure
-    # ------------------------------------------------------------------
-    def attach_pressure(self, monitor):
-        """Arm memory-pressure relief for this session.
-
-        The monitor chains onto the manager's allocation hook (after
-        any governor metering already attached) and :meth:`step` calls
-        its ``frame_relief`` between frames.  GC needs no caller
-        cooperation beyond this: the session knows all its roots.
-        """
-        self.pressure = monitor
-        monitor.attach(self.manager)
-
-    def _roots(self):
-        """Every BDD index the session holds: the GC root set."""
-        roots = list(self.good_state)
-        for _record, state_diff, acc in self._store.values():
-            roots.extend(state_diff.values())
-            if acc is not None:
-                roots.append(acc)
-        return roots
-
-    def live_nodes(self):
-        """Shared node count reachable from the session's roots."""
-        return self.manager.size(self._roots())
-
-    def reorder_rescue(self, window=2, passes=1):
-        """Try to shrink the session by rearranging state-variable pairs.
-
-        Runs :func:`~repro.bdd.reorder.block_window_search` at
-        ``(x_i, y_i)`` block granularity — pairs move as units, so the
-        MOT ``x -> y`` rename stays monotone.  When a smaller
-        arrangement is found the session adopts it wholesale: a fresh
-        manager (inheriting the allocation hook, so budget metering and
-        pressure checks keep firing), translated roots, and a
-        :class:`~repro.bdd.ordering.RemappedStateVariables` view.
-        Returns the number of nodes saved (0 when nothing improved or
-        the scheme does not support pair-block rescue).
-
-        Invalidates clones, like :meth:`compact`.
-        """
-        state_vars = self.state_vars
-        if state_vars.scheme != "interleaved" or state_vars.num_dffs < 2:
-            return 0
-        manager = self.manager
-        blocks = [
-            (state_vars.x(i), state_vars.y(i))
-            for i in range(state_vars.num_dffs)
-        ]
-        # flatten the store position-addressably so the translated
-        # roots can be written straight back
-        roots = list(self.good_state)
-        slots = []
-        for entry in self._store.values():
-            for dff_idx in entry[1]:
-                slots.append((entry, 1, dff_idx))
-                roots.append(entry[1][dff_idx])
-            if entry[2] is not None:
-                slots.append((entry, 2, None))
-                roots.append(entry[2])
-        before = manager.num_nodes
-        found = block_window_search(
-            manager, roots, blocks, window=window, passes=passes,
-            node_limit=manager.node_limit,
-        )
-        if found is None:
-            return 0
-        new_manager, new_roots, var_map = found
-        new_manager.alloc_hook = manager.alloc_hook
-        # the session-lifetime peak and operation stats survive the
-        # manager swap (carrying also re-arms opt-in stat counting)
-        new_manager.peak_nodes = max(
-            new_manager.peak_nodes, manager.peak_nodes
-        )
-        new_manager.carry_stats_from(manager)
-        self.manager = new_manager
-        self.algebra = BddAlgebra(new_manager)
-        self.state_vars = RemappedStateVariables(state_vars, var_map)
-        count = len(self.good_state)
-        self.good_state = list(new_roots[:count])
-        for (entry, pos, dff_idx), value in zip(slots, new_roots[count:]):
-            if pos == 1:
-                entry[1][dff_idx] = value
-            else:
-                entry[2] = value
-        if self.pressure is not None:
-            self.pressure.rebind(new_manager)
-        return before - new_manager.num_nodes
-
-    # ------------------------------------------------------------------
     def step(self, vector, mark_detected=True):
         """Simulate one time frame; returns the newly detected records.
 
@@ -209,10 +113,6 @@ class SymbolicSession:
         trial sessions in the MOT-guided test generator) — detected
         records are still dropped from this session's store.
         """
-        if self.pressure is not None:
-            # the frame boundary is the one safe point for rebuild-based
-            # relief: no traversal in flight, all roots translatable
-            self.pressure.frame_relief(self)
         compiled = self.compiled
         algebra = self.algebra
         pi_values = []
@@ -307,10 +207,8 @@ class SymbolicSession:
         }
         other.time = self.time
         other.fault_cost_hook = self.fault_cost_hook
-        # pressure relief (GC / rescue) would invalidate the original;
-        # clones run unmonitored — and untraced, so trial steps of the
-        # test generator never pollute the trace
-        other.pressure = None
+        # clones run untraced, so trial steps of the test generator
+        # never pollute the trace
         other.tracer = NULL_TRACER
         other.metrics = None
         return other
@@ -378,6 +276,15 @@ class SymbolicSession:
         if relative_to is None:
             relative_to = self.project_state_3v()
         return self._diff_relative(entry[1], relative_to)
+
+    def _roots(self):
+        """Every BDD index the session holds: the GC root set."""
+        roots = list(self.good_state)
+        for _record, state_diff, acc in self._store.values():
+            roots.extend(state_diff.values())
+            if acc is not None:
+                roots.append(acc)
+        return roots
 
     def compact(self):
         """Garbage-collect the manager, keeping only live session roots.

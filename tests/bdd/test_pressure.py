@@ -1,14 +1,13 @@
-"""Pressure monitor mechanics: eviction, hook chaining, RSS surrender."""
+"""Memory-pressure mechanics: eviction, hook chaining, RSS surrender.
+
+The manager primitives come first; the budgets that drive them live in
+:class:`~repro.runtime.governor.ResourceGovernor`.
+"""
 
 import pytest
 
-from repro.bdd import (
-    BddManager,
-    MemoryPressureExceeded,
-    PressureConfig,
-    PressureMonitor,
-    SpaceLimitExceeded,
-)
+from repro.bdd import BddManager, MemoryPressureExceeded, SpaceLimitExceeded
+from repro.runtime import ResourceGovernor
 
 
 def populate_cache(manager, n_pairs=6):
@@ -21,7 +20,7 @@ def populate_cache(manager, n_pairs=6):
 
 
 # ----------------------------------------------------------------------
-# manager primitives the monitor builds on
+# manager primitives the governor builds on
 # ----------------------------------------------------------------------
 def test_evict_cache_full_and_partial():
     manager = BddManager(num_vars=12)
@@ -64,160 +63,48 @@ def test_collect_suspends_alloc_hook():
 
 
 # ----------------------------------------------------------------------
-# the monitor
+# the governor's memory checks (every allocation: stride 1)
 # ----------------------------------------------------------------------
-def test_monitor_evicts_cache_over_budget():
+@pytest.fixture
+def every_allocation(monkeypatch):
+    monkeypatch.setattr("repro.runtime.governor._CLOCK_STRIDE", 1)
+
+
+def test_governor_evicts_cache_over_budget(every_allocation):
+    events = []
+    governor = ResourceGovernor(cache_budget=4)
+    governor.on_evict = events.append
     manager = BddManager(num_vars=16)
-    monitor = PressureMonitor(cache_budget=4, check_stride=1)
-    monitor.attach(manager)
+    governor.attach_manager(manager)
     populate_cache(manager, n_pairs=8)
-    assert monitor.cache_evictions > 0
-    assert monitor.entries_evicted > 0
-    assert any(e["action"] == "evict" for e in monitor.events)
-    assert monitor.accounting()["cache_evictions"] == monitor.cache_evictions
+    assert events
+    assert all(e["action"] == "evict" for e in events)
+    assert sum(e["dropped"] for e in events) == manager.stat_entries_evicted
 
 
-def test_monitor_chains_after_existing_hook():
+def test_governor_eviction_chains_after_existing_hook(every_allocation):
     manager = BddManager(num_vars=16)
     fired = []
     manager.alloc_hook = lambda: fired.append(1)
-    monitor = PressureMonitor(cache_budget=4, check_stride=1)
-    monitor.attach(manager)
+    events = []
+    governor = ResourceGovernor(cache_budget=4)
+    governor.on_evict = events.append
+    governor.attach_manager(manager)
     populate_cache(manager, n_pairs=6)
-    # the pre-existing (governor-style) hook kept firing on every
-    # allocation while the monitor also did its work
-    assert len(fired) > 0
-    assert monitor.cache_evictions > 0
+    # the pre-existing hook (the bdd.alloc failpoint installs one) kept
+    # firing on every allocation while the governor also did its work
+    assert len(fired) == governor.nodes_allocated > 0
+    assert events
 
 
-def test_hard_rss_surrenders_with_space_limit_subclass():
+def test_hard_rss_surrenders_with_space_limit_subclass(every_allocation):
+    governor = ResourceGovernor(rss_budget=100, rss_sampler=lambda: 95)
     manager = BddManager(num_vars=16)
-    monitor = PressureMonitor(
-        rss_soft=70, rss_hard=90, check_stride=1,
-        rss_sampler=lambda: 100,
-    )
-    monitor.attach(manager)
+    governor.attach_manager(manager)
     with pytest.raises(MemoryPressureExceeded) as exc:
         populate_cache(manager, n_pairs=8)
     # the surrender reuses the space-limit unwind path
     assert isinstance(exc.value, SpaceLimitExceeded)
     assert exc.value.limit == 90
-    assert exc.value.requested == 100
-    assert monitor.peak_rss == 100
-    # the last cheap shot emptied the computed table first
-    assert manager.cache_size == 0
-
-
-def test_soft_rss_requests_frame_relief():
-    manager = BddManager(num_vars=8, node_limit=10_000)
-    monitor = PressureMonitor(
-        rss_soft=50, rss_hard=1_000_000, check_stride=1,
-        live_fraction=1.0, rss_sampler=lambda: 60,
-    )
-    monitor.attach(manager)
-    populate_cache(manager, n_pairs=3)
-    assert monitor._rss_pending
-
-    class FakeSession:
-        def __init__(self):
-            self.compacted = 0
-
-        def live_nodes(self):
-            return 0
-
-        def compact(self):
-            self.compacted += 1
-            return 5
-
-        def reorder_rescue(self, window, passes):  # pragma: no cover
-            return 0
-
-    session = FakeSession()
-    monitor.frame_relief(session)
-    assert session.compacted == 1
-    assert monitor.gc_runs == 1
-    assert monitor.nodes_freed == 5
-    assert not monitor._rss_pending  # consumed
-
-
-def test_frame_relief_noop_without_trigger():
-    manager = BddManager(num_vars=4, node_limit=10_000)
-    monitor = PressureMonitor()
-    monitor.attach(manager)
-
-    class NoSession:
-        def live_nodes(self):  # pragma: no cover
-            raise AssertionError("relief ran without a trigger")
-
-        compact = reorder_rescue = live_nodes
-
-    monitor.frame_relief(NoSession())
-    assert monitor.gc_runs == 0
-
-
-def test_rescue_runs_when_gc_not_enough():
-    manager = BddManager(num_vars=8, node_limit=200)
-    # keep the store over the (tiny) watermark no matter what
-    populate_cache(manager, n_pairs=2)
-    monitor = PressureMonitor(
-        gc_watermark=0.02, live_fraction=1.0, reorder_rescue=True,
-        rescue_window=2, rescue_passes=1,
-    )
-    monitor.attach(manager)
-
-    calls = []
-
-    class StubbornSession:
-        def live_nodes(self):
-            return 0
-
-        def compact(self):
-            calls.append("gc")
-            return 0
-
-        def reorder_rescue(self, window, passes):
-            calls.append(("rescue", window, passes))
-            return 3
-
-    monitor.frame_relief(StubbornSession())
-    assert calls == ["gc", ("rescue", 2, 1)]
-    assert monitor.reorder_rescues == 1
-
-
-# ----------------------------------------------------------------------
-# the config
-# ----------------------------------------------------------------------
-def test_config_json_round_trip():
-    config = PressureConfig(
-        gc_watermark=0.5, live_fraction=0.9, cache_budget=128,
-        rss_budget=1 << 30, reorder_rescue=True, rescue_window=3,
-        check_stride=64,
-    )
-    restored = PressureConfig.from_json(config.to_json())
-    assert restored.to_json() == config.to_json()
-
-
-def test_config_monitor_derives_watermarks():
-    config = PressureConfig(
-        rss_budget=1000, rss_soft_fraction=0.7, rss_hard_fraction=0.9,
-        rss_sampler=lambda: 0,
-    )
-    monitor = config.monitor()
-    assert monitor.rss_soft == 700
-    assert monitor.rss_hard == 900
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PressureConfig(gc_watermark=0.0)
-    with pytest.raises(ValueError):
-        PressureConfig(live_fraction=1.5)
-    with pytest.raises(ValueError):
-        PressureConfig(rss_soft_fraction=0.9, rss_hard_fraction=0.5)
-    with pytest.raises(ValueError):
-        PressureConfig(check_stride=0)
-
-
-def test_sampler_not_serialized():
-    config = PressureConfig(rss_budget=100, rss_sampler=lambda: 1)
-    assert "rss_sampler" not in config.to_json()
+    assert exc.value.requested == 95
+    assert governor.peak_rss == 95

@@ -115,71 +115,3 @@ def test_transfer_survives_deep_chains():
     assert dst.size(g) == src.size(f) == n + 2
     assert dst.evaluate(g, {v: 1 for v in range(n)}) == 1
     assert dst.evaluate(g, {0: 0, **{v: 1 for v in range(1, n)}}) == 0
-
-
-def test_block_window_search_improves_blocked_pairs():
-    from repro.bdd.reorder import block_window_search
-
-    n = 4
-    bad = BddManager(num_vars=2 * n)
-    f = dependent_pairs_function(bad, n, interleaved=False)
-    before = bad.size(f)
-    # singleton blocks make the block search equivalent to plain
-    # window search, which must fix the blocked pairs layout
-    blocks = [(v,) for v in range(2 * n)]
-    found = block_window_search(bad, [f], blocks, window=3, passes=4)
-    assert found is not None
-    new_manager, (g,), var_map = found
-    assert new_manager.size(g) < before
-    # semantics preserved under the returned renumbering
-    for bits in itertools.product((0, 1), repeat=2 * n):
-        a_old = dict(enumerate(bits))
-        a_new = {var_map[v]: bit for v, bit in a_old.items()}
-        assert bad.evaluate(f, a_old) == new_manager.evaluate(g, a_new)
-
-
-def test_block_window_search_keeps_blocks_contiguous():
-    from repro.bdd.reorder import block_window_search
-
-    n = 3
-    m = BddManager(num_vars=2 * n)
-    # partners straddle pair blocks: (0, 4) and (1, 5); moving whole
-    # pairs can bring them closer, splitting a pair could do better
-    # but is forbidden
-    f = m.and_(
-        m.xnor(m.mk_var(0), m.mk_var(4)),
-        m.xnor(m.mk_var(1), m.mk_var(5)),
-    )
-    blocks = [(0, 1), (2, 3), (4, 5)]
-    found = block_window_search(m, [f], blocks, window=3, passes=2)
-    if found is None:
-        return  # nothing beat the input — allowed
-    _, _, var_map = found
-    for a, b in blocks:
-        # each pair stays adjacent and internally ordered
-        assert var_map[b] == var_map[a] + 1
-
-
-def test_block_window_search_none_on_optimal_input():
-    from repro.bdd.reorder import block_window_search
-
-    n = 3
-    m = BddManager(num_vars=2 * n)
-    f = dependent_pairs_function(m, n, interleaved=True)
-    blocks = [(2 * i, 2 * i + 1) for i in range(n)]
-    assert block_window_search(m, [f], blocks, window=2) is None
-
-
-def test_block_window_search_skips_overflowing_candidates():
-    from repro.bdd.reorder import block_window_search
-
-    n = 4
-    m = BddManager(num_vars=2 * n)
-    f = dependent_pairs_function(m, n, interleaved=False)
-    # a node limit no candidate can satisfy: every rebuild overflows,
-    # is skipped, and the search reports no improvement
-    found = block_window_search(
-        m, [f], [(v,) for v in range(2 * n)], window=3, passes=2,
-        node_limit=3,
-    )
-    assert found is None

@@ -197,18 +197,20 @@ def _scenario_bdd_alloc(site, s27_setup, tmp_path):
 
 
 def _scenario_pressure(site, s27_setup, tmp_path):
-    from repro.bdd.pressure import PressureConfig
+    from repro.runtime import ResourceGovernor
 
     compiled, sequence, expected = s27_setup
     failpoints.set_failpoint(site, "once")
     fault_set = fresh_faults(compiled)
-    result = run_campaign(
-        compiled, sequence, fault_set,
-        node_limit=400,
-        pressure=PressureConfig(
-            gc_watermark=0.02, cache_budget=8, reorder_rescue=True,
-        ),
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        # s27 allocates a few dozen nodes: check the cache on each one
+        patch.setattr("repro.runtime.governor._CLOCK_STRIDE", 1)
+        result = run_campaign(
+            compiled, sequence, fault_set,
+            node_limit=400,
+            governor=ResourceGovernor(cache_budget=8),
+        )
+    assert failpoints.fired_counts()[site] == 1
     assert result.stopped == "completed"
     assert_conservative(fault_set, expected)
 
@@ -340,8 +342,6 @@ SCENARIOS = {
     "journal.write.torn": _scenario_journal_writer,
     "bdd.alloc": _scenario_bdd_alloc,
     "pressure.evict": _scenario_pressure,
-    "pressure.gc": _scenario_pressure,
-    "pressure.rescue": _scenario_pressure,
     "fabric.heartbeat.drop": _scenario_heartbeat,
     "fabric.heartbeat.dup": _scenario_heartbeat,
     "fabric.worker.stall": _scenario_stall,

@@ -246,6 +246,15 @@ def test_invalid_strategy_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("size", ["inf", "1e400", "-1"])
+def test_bad_rss_budget_exits_2_without_traceback(size, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "s27", "--rss-budget", size])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--rss-budget" in err and "Traceback" not in err
+
+
 def test_missing_sequence_file_exits_2(capsys):
     code, _out, err = run_err(
         capsys, "simulate", "s27", "--sequence", "missing.seq"

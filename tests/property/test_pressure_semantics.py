@@ -1,26 +1,28 @@
-"""Hypothesis property: pressure relief never changes BDD semantics.
+"""Hypothesis property: memory relief never changes BDD semantics.
 
-The escalation ladder's first three rungs — computed-table eviction,
-root-preserving GC and reorder rescue — are supposed to be purely
+Computed-table eviction (the governor's ``cache_budget``) and
+root-preserving GC (the overflow protocol's first step) are purely
 spatial: any interleaving of them with ordinary BDD construction must
 leave every root's truth table (checked via ``sat_count`` and point
-evaluations) untouched.  Only the fourth rung (surrender) may alter
-results, and it reuses the conservative fallback paths tested
-elsewhere.
+evaluations) untouched.  Only a surrender may alter results, and it
+reuses the conservative fallback paths tested elsewhere.
 """
 
 import random as random_module
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bdd import BddManager, PressureConfig
+from repro.bdd import BddManager
 from repro.circuit.compile import compile_circuit
 from repro.faults.collapse import collapse_faults
 from repro.faults.status import FaultSet
-from repro.runtime import run_campaign
+from repro.runtime import ResourceGovernor, run_campaign
 from tests.util import random_circuit
 
 NUM_VARS = 6
+CACHE_BUDGET = 4
+NONTRIVIAL_NODES = 16
 
 
 def build_roots(manager, seed, count=3, depth=8):
@@ -77,11 +79,11 @@ def test_relief_interleavings_preserve_truth_tables(seed, actions):
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=10, deadline=None)
 def test_pressured_campaign_matches_unconstrained(seed):
-    """End-to-end: constant relief, identical classifications.
+    """End-to-end: constant eviction, identical classifications.
 
     The node limit is generous (no overflow, no surrender) while the
-    watermarks are absurdly tight, so every relief rung fires without
-    any fault ever degrading — verdicts must be identical to a
+    cache budget is absurdly tight (and checked on every allocation), so eviction fires without any
+    fault ever degrading — verdicts must be identical to a
     pressure-free run, and the result stays exact.
     """
     compiled = compile_circuit(random_circuit(seed))
@@ -97,13 +99,14 @@ def test_pressured_campaign_matches_unconstrained(seed):
     )
 
     pressured_set = FaultSet(faults)
-    pressured = run_campaign(
-        compiled, sequence, pressured_set, node_limit=50_000,
-        pressure=PressureConfig(
-            gc_watermark=0.01, live_fraction=1.0, cache_budget=32,
-            reorder_rescue=True, check_stride=16,
-        ),
-    )
+    governor = ResourceGovernor(cache_budget=CACHE_BUDGET)
+    with pytest.MonkeyPatch.context() as patch:
+        # check the cache budget on every node allocation
+        patch.setattr("repro.runtime.governor._CLOCK_STRIDE", 1)
+        pressured = run_campaign(
+            compiled, sequence, pressured_set, node_limit=50_000,
+            governor=governor,
+        )
 
     def signature(fault_set):
         return [
@@ -114,3 +117,7 @@ def test_pressured_campaign_matches_unconstrained(seed):
     assert signature(pressured_set) == signature(baseline_set)
     assert pressured.exact == baseline.exact
     assert pressured.stopped == "completed"
+    if governor.nodes_allocated > NONTRIVIAL_NODES:
+        # some random circuits finish on a handful of nodes and never
+        # fill the table; any run that builds real BDDs must evict
+        assert pressured.pressure["cache_evictions"] > 0

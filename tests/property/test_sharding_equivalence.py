@@ -16,6 +16,7 @@ the integration tests in ``tests/runtime/test_fabric.py``.
 
 import random as random_module
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit.compile import compile_circuit
@@ -104,34 +105,38 @@ def test_fabric_sharding_matches_serial(pair, shard_size):
 @given(circuit_and_sequence(), st.integers(1, 5))
 @settings(max_examples=10, deadline=None)
 def test_pressure_settings_preserve_sharding_equivalence(pair, shard_size):
-    """Serial vs sharded under identical pressure settings.
+    """Serial vs sharded under identical memory budgets.
 
-    Relief rungs are per-session and semantics-preserving, so a
-    pressured serial campaign and a pressured inline-sharded campaign
-    must classify every fault identically (nothing surrenders here:
-    the node limit is generous and no RSS budget is set).
+    Computed-table eviction is per-manager and semantics-preserving,
+    so a cache-budgeted serial campaign and a cache-budgeted
+    inline-sharded campaign must classify every fault identically
+    (nothing surrenders here: the node limit is generous and no RSS
+    budget is set).
     """
-    from repro.bdd import PressureConfig
-    from repro.runtime import run_campaign
+    from repro.runtime import ResourceGovernor, run_campaign
 
     compiled, sequence = pair
     faults, _ = collapse_faults(compiled)
-    pressure = PressureConfig(
-        gc_watermark=0.05, live_fraction=1.0, cache_budget=64,
-        reorder_rescue=True, check_stride=64,
-    )
 
     serial = FaultSet(faults)
-    run_campaign(
-        compiled, sequence, serial,
-        node_limit=20_000, pressure=pressure,
-    )
-
     sharded = FaultSet(faults)
-    result = run_sharded_campaign(
-        compiled, sequence, sharded,
-        workers=0, shard_size=shard_size,
-        node_limit=20_000, pressure=pressure,
-    )
+    serial_governor = ResourceGovernor(cache_budget=4)
+    with pytest.MonkeyPatch.context() as patch:
+        # check the cache budget on every node allocation
+        patch.setattr("repro.runtime.governor._CLOCK_STRIDE", 1)
+        serial_result = run_campaign(
+            compiled, sequence, serial,
+            node_limit=20_000, governor=serial_governor,
+        )
+        result = run_sharded_campaign(
+            compiled, sequence, sharded,
+            workers=0, shard_size=shard_size,
+            node_limit=20_000, governor=ResourceGovernor(cache_budget=4),
+        )
     assert signature(sharded) == signature(serial)
     assert result.stopped == "completed"
+    if serial_governor.nodes_allocated > 16:
+        # some random circuits finish on a handful of nodes and never
+        # fill the table; any run that builds real BDDs must evict
+        assert serial_result.pressure["cache_evictions"] > 0
+        assert result.pressure["cache_evictions"] > 0

@@ -179,6 +179,48 @@ def test_deadline_checkpoint_resume_matches_uninterrupted(
     assert detected_map(resumed_set) == detected_map(uninterrupted_set)
 
 
+def test_checkpoint_with_retired_pressure_counters_resumes(
+    tmp_path, monkeypatch, s27_compiled, s27_fault_set, s27_sequence
+):
+    # checkpoints written before the in-engine pressure ladder was
+    # retired carry its counters; a resume must simply ignore them
+    from repro.runtime.campaign import Campaign
+
+    retired = {"pressure_gc_runs": 3, "reorder_rescues": 1}
+    counters = Campaign._counters
+    monkeypatch.setattr(
+        Campaign, "_counters", lambda self: dict(counters(self), **retired)
+    )
+    pristine = s27_fault_set.clone()
+    path = tmp_path / "legacy.ckpt"
+    interrupted = run_campaign(
+        s27_compiled, s27_sequence, s27_fault_set,
+        strategy="MOT", node_limit=2000,
+        governor=ResourceGovernor(deadline=1.0, clock=FakeClock(0.015)),
+        checkpoint_path=str(path), checkpoint_every=5,
+    )
+    assert interrupted.stopped == "deadline"
+    monkeypatch.undo()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert any(
+        all(key in json.dumps(record) for key in retired)
+        for record in records
+    )
+
+    resumed_set = pristine.clone()
+    resumed = resume_campaign(
+        str(path), compiled=s27_compiled, fault_set=resumed_set
+    )
+    assert resumed.stopped == "completed"
+    assert resumed.resumed_from == interrupted.frames_total
+    uninterrupted_set = pristine.clone()
+    run_campaign(
+        s27_compiled, s27_sequence, uninterrupted_set,
+        strategy="MOT", node_limit=2000,
+    )
+    assert detected_map(resumed_set) == detected_map(uninterrupted_set)
+
+
 # ----------------------------------------------------------------------
 # degradation: per-fault budgets demote offenders, the campaign finishes
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.circuit.compile import compile_circuit
 from repro.circuits.registry import get_circuit
 from repro.faults.collapse import collapse_faults
 from repro.faults.status import QUARANTINED, FaultSet
-from repro.runtime import run_campaign
+from repro.runtime import ResourceGovernor, run_campaign
 from repro.runtime.errors import CheckpointError
 from repro.runtime.fabric import (
     FabricConfig,
@@ -268,6 +268,24 @@ def test_worker_error_message_requeues_the_shard(s27_setup, monkeypatch):
     assert result.runtime_summary()["fabric"]["bisections"] >= 1
 
 
+def test_cache_budget_evicts_in_shards_without_changing_verdicts(
+    s27_setup, monkeypatch
+):
+    compiled, sequence = s27_setup
+    expected = baseline(compiled, sequence)
+    # check the cache budget on every node allocation
+    monkeypatch.setattr("repro.runtime.governor._CLOCK_STRIDE", 1)
+    fault_set = fresh_faults(compiled)
+    result = run_sharded_campaign(
+        compiled, sequence, fault_set, workers=0, shard_size=8,
+        governor=ResourceGovernor(cache_budget=4),
+    )
+    assert result.stopped == "completed"
+    assert result.pressure["cache_evictions"] > 0
+    assert result.pressure["rss_surrenders"] == 0
+    assert signature(fault_set) == expected
+
+
 # ----------------------------------------------------------------------
 # checkpoint / resume
 # ----------------------------------------------------------------------
@@ -308,6 +326,50 @@ def test_fabric_checkpoint_roundtrip_and_resume(s27_setup, tmp_path):
     assert fabric["resumed_shards"] == 3
     assert fabric["shards_completed"] == fabric["shards_planned"]
     assert signature(resumed) == expected
+
+
+def test_fabric_resume_ignores_retired_pressure_keys(s27_setup, tmp_path):
+    # shard summaries checkpointed before the in-engine pressure ladder
+    # was retired carry its extra counters and event log under
+    # "pressure"; the merge reads only the live counters
+    compiled, sequence = s27_setup
+    expected = baseline(compiled, sequence)
+    path = str(tmp_path / "fabric.ckpt")
+    run_sharded_campaign(
+        compiled, sequence, fresh_faults(compiled), workers=0,
+        shard_size=8, checkpoint_path=path,
+        governor=ResourceGovernor(cache_budget=1 << 30),
+    )
+    legacy = {
+        "events": 2, "cache_evictions": 1, "gc_runs": 1,
+        "reorder_rescues": 0, "rss_surrenders": 0, "peak_rss": 7,
+        "log": [{"trigger": "watermark", "action": "gc"}],
+    }
+    records = [json.loads(line) for line in open(path)]
+    shards = [r for r in records if r["type"] == "shard"]
+    assert [r["id"] for r in shards] == [[0], [1], [2], [3]]
+    assert shards[0]["summary"]["pressure"] is not None
+    for record in shards[1:3]:
+        # crc-less records are accepted, so the edit needs no re-sealing
+        del record["crc"]
+        record["summary"]["pressure"] = legacy
+    with open(path, "w") as handle:
+        for record in records[:-1]:  # drop shard 3: it re-runs
+            handle.write(json.dumps(record) + "\n")
+
+    resumed = fresh_faults(compiled)
+    result = resume_sharded_campaign(
+        path, compiled=compiled, fault_set=resumed,
+        governor=ResourceGovernor(cache_budget=1 << 30),
+    )
+    assert result.runtime_summary()["fabric"]["resumed_shards"] == 3
+    assert signature(resumed) == expected
+    assert set(result.pressure) == {
+        "events", "cache_evictions", "rss_surrenders", "peak_rss",
+    }
+    assert result.pressure["events"] >= 2 * legacy["events"]
+    assert result.pressure["cache_evictions"] >= 2
+    assert result.pressure["peak_rss"] >= legacy["peak_rss"]
 
 
 def test_fabric_resume_rejects_mismatched_faults(s27_setup, tmp_path):

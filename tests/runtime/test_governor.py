@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bdd import BddManager
+from repro.bdd import BddManager, MemoryPressureExceeded
 from repro.bdd.manager import FALSE, TRUE
 from repro.faults.model import STEM, Fault
 from repro.faults.status import FaultSet
@@ -27,6 +27,61 @@ def a_record():
 def test_negative_deadline_rejected():
     with pytest.raises(ValueError):
         ResourceGovernor(deadline=-1)
+
+
+@pytest.mark.parametrize(
+    "budget",
+    ["node_budget", "fault_frame_nodes", "fault_frame_events",
+     "rss_budget", "cache_budget"],
+)
+def test_negative_budgets_rejected(budget):
+    with pytest.raises(ValueError, match=budget):
+        ResourceGovernor(**{budget: -1})
+    ResourceGovernor(**{budget: 0})  # zero is a (tight) budget
+
+
+def populate_cache(manager, n_pairs):
+    """A chain of XOR pairs: every step allocates and fills the cache."""
+    f = manager.const(1)
+    for i in range(n_pairs):
+        f = manager.and_(
+            f, manager.xor(manager.mk_var(2 * i), manager.mk_var(2 * i + 1))
+        )
+    return f
+
+
+def test_cache_budget_evicts_the_allocating_manager():
+    events = []
+    gov = ResourceGovernor(cache_budget=4).start()
+    gov.on_evict = events.append
+    manager = BddManager(num_vars=2 * _CLOCK_STRIDE)
+    other = BddManager(num_vars=8)
+    gov.attach_manager(manager)
+    gov.attach_manager(other)
+    populate_cache(other, 3)
+    other_cache = other.cache_size
+    populate_cache(manager, _CLOCK_STRIDE)
+    assert events and all(e["action"] == "evict" for e in events)
+    assert manager.stat_cache_evictions == len(events)
+    # the stride fired while `manager` allocated: `other` kept its table
+    assert other.cache_size == other_cache > 4
+
+
+def test_rss_surrenders_at_the_fraction_and_stops_at_the_budget():
+    rss = [950]
+    gov = ResourceGovernor(rss_budget=1000, rss_sampler=lambda: rss[0])
+    gov.start()
+    manager = BddManager(num_vars=2 * _CLOCK_STRIDE)
+    gov.attach_manager(manager)
+    with pytest.raises(MemoryPressureExceeded) as exc:
+        populate_cache(manager, _CLOCK_STRIDE)
+    assert exc.value.limit == 900 and exc.value.requested == 950
+    gov.check_frame(1)  # below the budget: the frame boundary passes
+    rss[0] = 1001
+    with pytest.raises(BudgetExceeded) as exc:
+        gov.check_frame(2)
+    assert exc.value.kind == "rss"
+    assert gov.peak_rss == 1001
 
 
 def test_deadline_check_frame():

@@ -82,3 +82,11 @@ def test_parse_size(text, expected):
 def test_parse_size_rejects_garbage(text):
     with pytest.raises(ValueError, match="unparsable size"):
         parse_size(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["inf", "1e400", "nan", "-1", "-2G", float("inf"), -5]
+)
+def test_parse_size_rejects_negative_and_non_finite(text):
+    with pytest.raises(ValueError, match="finite number of bytes >= 0"):
+        parse_size(text)

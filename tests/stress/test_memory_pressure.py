@@ -1,18 +1,17 @@
-"""Memory-pressure stress: blowup-prone circuits under tiny watermarks.
+"""Memory-pressure stress: blowup-prone circuits under tiny budgets.
 
 These are the CI memory-stress scenarios: a campaign on an
-order-hostile circuit with watermarks far below anything sensible must
+order-hostile circuit with budgets far below anything sensible must
 still complete, classify every fault, surface its relief work in the
 accounting, and never detect a fault the unconstrained baseline does
-not (relief is semantics-preserving; surrender is conservative).
+not (eviction is semantics-preserving; surrender is conservative).
 """
 
-from repro.bdd import PressureConfig
 from repro.circuit.compile import compile_circuit
 from repro.circuits.generators import nlfsr
 from repro.faults.collapse import collapse_faults
 from repro.faults.status import FaultSet
-from repro.runtime import run_campaign
+from repro.runtime import ResourceGovernor, run_campaign
 from repro.sequences.random_seq import random_sequence_for
 
 
@@ -30,7 +29,7 @@ def detected_keys(fault_set):
     return {r.fault.key() for r in fault_set.detected()}
 
 
-def test_tight_watermarks_complete_and_stay_conservative():
+def test_tight_budgets_complete_and_stay_conservative():
     compiled = compile_circuit(nlfsr(9, seed=4))
     faults, _ = collapse_faults(compiled)
     sequence = random_sequence_for(compiled, 30, seed=5)
@@ -45,27 +44,28 @@ def test_tight_watermarks_complete_and_stay_conservative():
     pressured = run_campaign(
         compiled, sequence, pressured_set,
         node_limit=3_000,
-        pressure=PressureConfig(
-            gc_watermark=0.2, live_fraction=1.0, cache_budget=128,
-            reorder_rescue=True, check_stride=32,
-        ),
+        governor=ResourceGovernor(cache_budget=128),
     )
     assert pressured.stopped == "completed"
     assert classified(pressured_set)
     accounting = pressured.pressure
     assert accounting is not None
     assert accounting["events"] > 0
-    assert accounting["gc_runs"] > 0
+    assert accounting["cache_evictions"] > 0
+    assert pressured.gc_runs > 0  # the overflow protocol's GC
     assert pressured.runtime_summary()["pressure"] is accounting
     # conservatism: pressure can lose detections, never invent them
     assert detected_keys(pressured_set) <= detected_keys(baseline_set)
 
 
-def test_hard_rss_surrender_degrades_through_the_ladder():
-    # a sampler stuck above the hard watermark forces every symbolic
-    # session to surrender; a surrender is evidence about the group,
-    # so the campaign must answer with whole-group 3v fallbacks (never
-    # per-fault demotions) and still finish
+def test_hard_rss_surrender_degrades_through_the_ladder(monkeypatch):
+    # a sampler stuck between the surrender threshold (0.9 of the
+    # budget) and the budget forces every symbolic session that
+    # allocates to surrender without stopping the run; a surrender is
+    # evidence about the group, so the campaign must answer with
+    # whole-group 3v fallbacks (never per-fault demotions) and finish.
+    # Checking every 8 allocations makes the GC retry surrender too.
+    monkeypatch.setattr("repro.runtime.governor._CLOCK_STRIDE", 8)
     compiled = compile_circuit(nlfsr(6, seed=2))
     faults, _ = collapse_faults(compiled)
     fault_set = FaultSet(faults)
@@ -73,9 +73,8 @@ def test_hard_rss_surrender_degrades_through_the_ladder():
     result = run_campaign(
         compiled, sequence, fault_set,
         node_limit=10_000,
-        pressure=PressureConfig(
-            rss_budget=1_000, check_stride=8,
-            rss_sampler=lambda: 1_000_000,
+        governor=ResourceGovernor(
+            rss_budget=1_000_000, rss_sampler=lambda: 950_000,
         ),
     )
     assert result.stopped == "completed"
