@@ -26,8 +26,8 @@ from repro import (
     FaultSet,
     collapse_faults,
     compile_circuit,
+    hybrid_fault_simulate,
     random_sequence_for,
-    symbolic_fault_simulate,
     symbolic_output_sequence,
 )
 from repro.circuits.generators import johnson
@@ -60,7 +60,8 @@ def main():
     shown = 0
     for fault in faults:
         fs = FaultSet([fault])
-        symbolic_fault_simulate(compiled, sequence, fs, strategy="MOT")
+        hybrid_fault_simulate(compiled, sequence, fs, strategy="MOT",
+                              node_limit=None)
         mot_detected = fs.counts()["detected"] == 1
         state = [rng.randrange(2) for _ in range(compiled.num_dffs)]
         response = generate_response(compiled, sequence, state, fault=fault)

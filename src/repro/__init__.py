@@ -47,7 +47,6 @@ from repro.engines import (
 from repro.xred import eliminate_x_redundant, id_x_red
 from repro.symbolic import (
     hybrid_fault_simulate,
-    symbolic_fault_simulate,
     symbolic_output_sequence,
 )
 from repro.sequences import (
@@ -106,7 +105,6 @@ __all__ = [
     "fault_simulate_3v_parallel",
     "id_x_red",
     "eliminate_x_redundant",
-    "symbolic_fault_simulate",
     "hybrid_fault_simulate",
     "symbolic_output_sequence",
     "random_sequence",

@@ -16,13 +16,17 @@ Scoring per candidate (lexicographic):
    functions (lower is better).
 
 Candidate trials run on a cloned :class:`SymbolicSession`, so a
-discarded candidate costs only the BDD nodes it created (which the
-next garbage collection reclaims).
+discarded candidate costs only the BDD nodes it created.  Once a vector
+is committed no clone is alive any more, and the session is
+garbage-collected down to its live roots.  A candidate round that still
+overflows the node limit ends generation: the result keeps the vectors
+committed so far and says ``stopped == "node-limit"``.
 """
 
 import random
 
-from repro.faults.status import UNDETECTED, FaultSet
+from repro.bdd.errors import SpaceLimitExceeded
+from repro.faults.status import FaultSet
 from repro.symbolic.fault_sim import SymbolicSession
 from repro.symbolic.strategies import get_strategy
 
@@ -30,10 +34,13 @@ from repro.symbolic.strategies import get_strategy
 class AtpgResult:
     """Outcome of a MOT-guided generation run."""
 
-    def __init__(self, sequence, fault_set, strategy_name):
+    def __init__(self, sequence, fault_set, strategy_name, stopped=None):
         self.sequence = sequence
         self.fault_set = fault_set
         self.strategy = strategy_name
+        #: None when generation ended normally, ``"node-limit"`` when a
+        #: candidate round overflowed the OBDD node limit
+        self.stopped = stopped
 
     @property
     def detected(self):
@@ -112,6 +119,7 @@ def generate_mot_tests(
 
     sequence = []
     stale = 0
+    stopped = None
     while (
         len(sequence) < max_length
         and session.live_records()
@@ -126,14 +134,22 @@ def generate_mot_tests(
             if vector in tried:
                 continue
             tried.add(vector)
-            score, trial, detected = _score_candidate(session, vector)
+            try:
+                score, trial, detected = _score_candidate(session, vector)
+            except SpaceLimitExceeded:
+                stopped = "node-limit"
+                break
             if best is None or score > best[0]:
                 best = (score, vector, trial, detected)
+        if stopped is not None:
+            break
         _score, vector, trial, detected = best
         # commit: the trial session becomes the session; now mark
         for record in detected:
             record.mark_detected(strategy_obj.detected_by, trial.time)
         session = trial
+        # the discarded trials were the only clones: reclaim their nodes
+        session.compact()
         sequence.append(vector)
         stale = 0 if detected else stale + 1
-    return AtpgResult(sequence, faults, strategy_obj.name)
+    return AtpgResult(sequence, faults, strategy_obj.name, stopped)

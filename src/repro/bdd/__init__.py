@@ -19,7 +19,6 @@ from repro.bdd.errors import (
 )
 from repro.bdd.manager import FALSE, TRUE, BddManager
 from repro.bdd.ordering import StateVariables
-from repro.bdd.reorder import reorder, transfer, window_search
 from repro.bdd.dot import to_dot
 
 __all__ = [
@@ -31,8 +30,5 @@ __all__ = [
     "MemoryPressureExceeded",
     "VariableOrderError",
     "StateVariables",
-    "reorder",
-    "transfer",
-    "window_search",
     "to_dot",
 ]

@@ -199,7 +199,3 @@ def compile_circuit(circuit):
     """Validate and compile *circuit* into a :class:`CompiledCircuit`."""
     return CompiledCircuit(circuit)
 
-
-def gate_eval_tables():
-    """Sanity helper mapping gate kinds to their base op, for tests."""
-    return {kind: gatelib.base_op(kind) for kind in gatelib.COMBINATIONAL_KINDS}

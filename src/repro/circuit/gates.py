@@ -36,29 +36,10 @@ _BASE = {
     CONST1: ("CONST", True),
 }
 
-# Controlling input value: a single input at this value forces the output
-# (before inversion).  None for XOR-like and identity gates.
-_CONTROLLING = {
-    AND: 0,
-    NAND: 0,
-    OR: 1,
-    NOR: 1,
-}
-
 
 def base_op(kind):
     """Return ``(base, inverted)`` for a combinational gate kind."""
     return _BASE[kind]
-
-
-def controlling_value(kind):
-    """The controlling input value of *kind*, or None if it has none."""
-    return _CONTROLLING.get(kind)
-
-
-def is_inverting(kind):
-    """True when the gate inverts its base operation (NAND/NOR/XNOR/NOT)."""
-    return _BASE[kind][1]
 
 
 def min_arity(kind):

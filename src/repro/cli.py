@@ -113,6 +113,12 @@ def cmd_generate(args):
             node_limit=args.node_limit,
         )
         sequence = result.sequence
+        if result.stopped is not None:
+            print(
+                f"warning: mot-atpg stopped at the node limit "
+                f"({args.node_limit}) after {len(sequence)} vectors",
+                file=sys.stderr,
+            )
     text_comment = (
         f"{args.kind} sequence for {args.circuit}, seed {args.seed}"
     )

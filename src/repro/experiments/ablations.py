@@ -21,7 +21,6 @@ from repro.faults.model import BRANCH, DBRANCH, STEM
 from repro.faults.status import BY_3V
 from repro.logic import threeval
 from repro.sequences.random_seq import random_sequence_for
-from repro.symbolic.fault_sim import symbolic_fault_simulate
 from repro.symbolic.hybrid import hybrid_fault_simulate
 from repro.xred.idxred import id_x_red
 
@@ -144,8 +143,8 @@ def variable_order(compiled, fault_set, sequence):
     for scheme in ("interleaved", "blocked"):
         fs = fault_set.clone()
         with Timer() as t:
-            result = symbolic_fault_simulate(
-                compiled, sequence, fs, strategy="MOT",
+            result = hybrid_fault_simulate(
+                compiled, sequence, fs, strategy="MOT", node_limit=None,
                 variable_scheme=scheme,
             )
         variants.append(Variant(

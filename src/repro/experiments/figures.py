@@ -21,14 +21,16 @@ from repro.engines.propagate import propagate_fault
 from repro.faults.model import stem_fault
 from repro.faults.status import FaultSet
 from repro.symbolic.detection import detection_function
-from repro.symbolic.fault_sim import symbolic_fault_simulate
+from repro.symbolic.hybrid import hybrid_fault_simulate
 
 
 def _strategy_verdicts(compiled, fault, sequence):
     verdicts = {}
     for strategy in ("SOT", "rMOT", "MOT"):
         fs = FaultSet([fault])
-        symbolic_fault_simulate(compiled, sequence, fs, strategy=strategy)
+        hybrid_fault_simulate(
+            compiled, sequence, fs, strategy=strategy, node_limit=None
+        )
         verdicts[strategy] = fs.counts()["detected"] == 1
     return verdicts
 

@@ -58,20 +58,6 @@ class FailpointError(ReproError):
         super().__init__(f"bad failpoint spec {spec!r}: {reason}")
 
 
-class InjectedFailure(ReproError):
-    """Raised by sites whose natural failure is not an OS error.
-
-    Sites that model a specific failure (``OSError(ENOSPC)``, a
-    ``MemoryError``) raise that; sites injecting a generic "this step
-    failed" raise this, so tests and callers can tell an injected
-    fault from an organic one by type.
-    """
-
-    def __init__(self, site):
-        self.site = site
-        super().__init__(f"failpoint {site!r} fired")
-
-
 class Failpoint:
     """One armed site: a policy plus deterministic counters."""
 

@@ -3,7 +3,6 @@
 from repro.faults.model import BRANCH, DBRANCH, STEM, Fault, stem_signal
 from repro.faults.universe import enumerate_faults, enumerate_leads
 from repro.faults.collapse import collapse_faults, equivalence_classes
-from repro.faults.dominance import dominance_collapse, dominance_pairs
 from repro.faults.status import (
     BY_3V,
     BY_MOT,
@@ -26,8 +25,6 @@ __all__ = [
     "enumerate_leads",
     "collapse_faults",
     "equivalence_classes",
-    "dominance_collapse",
-    "dominance_pairs",
     "FaultRecord",
     "FaultSet",
     "UNDETECTED",

@@ -5,8 +5,6 @@ specified initial states) and as the reference semantics every other
 algebra must agree with on known values.
 """
 
-from functools import reduce
-
 
 def and2(a, b):
     return a & b
@@ -23,14 +21,3 @@ def xor2(a, b):
 def not2(a):
     return 1 - a
 
-
-def andn(values):
-    return reduce(and2, values)
-
-
-def orn(values):
-    return reduce(or2, values)
-
-
-def xorn(values):
-    return reduce(xor2, values)

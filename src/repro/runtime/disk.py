@@ -234,10 +234,6 @@ class DiskGovernor:
     def enabled(self):
         return self.config.enabled
 
-    def add_path(self, path):
-        if path is not None and str(path) not in self.sampler.paths:
-            self.sampler.paths.append(str(path))
-
     def measure(self, force=False):
         """Sample (throttled unless *force*); returns (usage, free)."""
         if force:

@@ -2,10 +2,18 @@
 
 A *shard* is a slice of the campaign's live fault universe, identified
 by the indices of its faults in the canonical fault order (the order of
-the master :class:`~repro.faults.status.FaultSet`).  Fault simulation
-is per-fault independent, so running a campaign per shard and merging
-the per-fault verdicts is exact — sharding never changes a result,
-only who computes it.
+the master :class:`~repro.faults.status.FaultSet`).  Each shard runs a
+campaign of its own, and the merge takes every fault's verdict from its
+shard.  As long as no shard overflows the OBDD node limit, this is
+exact: a fault's verdict does not depend on which faults share its
+shard.  Once a shard overflows, the fallback applies to that shard's
+whole group (the faults share one manager), so a smaller shard
+overflows later and keeps more faults symbolic.  On circuits that
+overflow, the shard size, and through :func:`aligned_shard_size` the
+worker count, therefore changes the detected count (see item 1 of
+ROADMAP.md: ``mac10 --length 60`` detects 17 serially and 78 with
+``--workers 2``).  With the shard plan held fixed, the verdicts are the
+same for any worker count.
 
 Shard ids are tuples of ints: a planned shard is ``(3,)``, the halves
 a poison shard is bisected into are ``(3, 0)`` and ``(3, 1)``, and so

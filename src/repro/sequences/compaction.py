@@ -20,7 +20,7 @@ detected faults (equality enforced, supersets accepted).
 """
 
 from repro.faults.status import FaultSet
-from repro.symbolic.fault_sim import symbolic_fault_simulate
+from repro.symbolic.hybrid import hybrid_fault_simulate
 
 
 class CompactionResult:
@@ -51,9 +51,9 @@ def detected_set(compiled, sequence, faults, strategy="MOT",
                  initial_state=None):
     """Fault keys detected by *sequence* under *strategy*, with times."""
     fault_set = FaultSet(list(faults))
-    symbolic_fault_simulate(
+    hybrid_fault_simulate(
         compiled, sequence, fault_set, strategy=strategy,
-        initial_state=initial_state,
+        node_limit=None, initial_state=initial_state,
     )
     return {
         record.fault.key(): record.detected_at
@@ -67,10 +67,14 @@ def truncate_to_last_detection(compiled, sequence, faults,
     detections = detected_set(
         compiled, sequence, faults, strategy, initial_state
     )
+    return _truncate(sequence, detections), detections
+
+
+def _truncate(sequence, detections):
+    """*sequence* up to its last detection frame (empty without any)."""
     if not detections:
-        return [], detections
-    last = max(detections.values())
-    return list(sequence[:last]), detections
+        return []
+    return list(sequence[:max(detections.values())])
 
 
 def compact_sequence(
@@ -90,9 +94,7 @@ def compact_sequence(
     )
     target = set(baseline)
 
-    compacted, _ = truncate_to_last_detection(
-        compiled, sequence, faults, strategy, initial_state
-    )
+    compacted = _truncate(sequence, baseline)
     removals = []
     if greedy and compacted:
         trials = 0

@@ -1,10 +1,11 @@
 """OBDD-based symbolic fault simulation — the paper's core contribution.
 
-* :func:`~repro.symbolic.fault_sim.symbolic_fault_simulate` — pure
-  symbolic SOT/rMOT/MOT fault simulation,
-* :func:`~repro.symbolic.hybrid.hybrid_fault_simulate` — with the
-  three-valued fallback under a node limit (the paper's production
-  configuration),
+* :class:`~repro.symbolic.fault_sim.SymbolicSession` — one symbolic
+  stretch, stepped a frame at a time,
+* :func:`~repro.symbolic.hybrid.hybrid_fault_simulate` — SOT/rMOT/MOT
+  fault simulation with the three-valued fallback under a node limit
+  (the paper's production configuration); ``node_limit=None`` is the
+  pure symbolic run, exact by construction,
 * :mod:`~repro.symbolic.strategies` — the three observation strategies,
 * :mod:`~repro.symbolic.detection` — detection functions (Lemma 1),
 * :mod:`~repro.symbolic.evaluation` — symbolic test evaluation.
@@ -18,11 +19,7 @@ from repro.symbolic.strategies import (
     SotStrategy,
     get_strategy,
 )
-from repro.symbolic.fault_sim import (
-    SymbolicFaultSimResult,
-    SymbolicSession,
-    symbolic_fault_simulate,
-)
+from repro.symbolic.fault_sim import SymbolicSession
 from repro.symbolic.hybrid import (
     DEFAULT_FALLBACK_FRAMES,
     DEFAULT_NODE_LIMIT,
@@ -43,8 +40,6 @@ __all__ = [
     "MotStrategy",
     "FrameContext",
     "SymbolicSession",
-    "SymbolicFaultSimResult",
-    "symbolic_fault_simulate",
     "hybrid_fault_simulate",
     "DEFAULT_NODE_LIMIT",
     "DEFAULT_FALLBACK_FRAMES",

@@ -23,7 +23,6 @@ from repro.bdd.manager import FALSE, TRUE
 from repro.engines.algebra import BddAlgebra
 from repro.engines.evaluate import next_state_of, outputs_of, simulate_frame
 from repro.engines.propagate import propagate_fault
-from repro.faults.status import UNDETECTED, FaultSet
 from repro.logic import threeval
 from repro.obs.tracer import NULL_TRACER
 from repro.symbolic.strategies import FrameContext, get_strategy
@@ -239,16 +238,6 @@ class SymbolicSession:
                 diff3[dff_idx] = value
         return diff3
 
-    def snapshot_3v(self):
-        """Project the session state down to three-valued logic.
-
-        Returns ``(good_state_3v, diffs_3v)`` where *diffs_3v* maps
-        ``id(record)`` to a three-valued state-difference dict — the
-        format :func:`attach_faults` and the three-valued engine accept.
-        """
-        good_3v = self.project_state_3v()
-        return good_3v, self.snapshot_diffs(relative_to=good_3v)
-
     def snapshot_diffs(self, relative_to=None):
         """Per-fault three-valued state diffs keyed by ``id(record)``.
 
@@ -301,59 +290,3 @@ class SymbolicSession:
             if entry[2] is not None:
                 entry[2] = translate[entry[2]]
         return before - self.manager.num_nodes
-
-
-class SymbolicFaultSimResult:
-    """Outcome of a pure (non-hybrid) symbolic run."""
-
-    def __init__(self, fault_set, strategy_name, frames, exact, peak_nodes):
-        self.fault_set = fault_set
-        self.strategy = strategy_name
-        self.frames_simulated = frames
-        self.exact = exact
-        self.peak_nodes = peak_nodes
-
-    def __repr__(self):
-        counts = self.fault_set.counts()
-        flag = "exact" if self.exact else "approximate"
-        return (
-            f"SymbolicFaultSimResult({self.strategy}, "
-            f"{counts['detected']}/{counts['total']} detected, {flag})"
-        )
-
-
-def symbolic_fault_simulate(
-    compiled,
-    sequence,
-    fault_set,
-    strategy="MOT",
-    initial_state=None,
-    node_limit=None,
-    variable_scheme="interleaved",
-):
-    """Pure symbolic fault simulation over the whole sequence.
-
-    Simulates every record of *fault_set* that is still UNDETECTED.
-    Raises :class:`SpaceLimitExceeded` when *node_limit* is given and
-    hit — use :func:`repro.symbolic.hybrid.hybrid_fault_simulate` for
-    the fallback behaviour of the paper.
-    """
-    if isinstance(fault_set, (list, tuple)):
-        fault_set = FaultSet(fault_set)
-    session = SymbolicSession(
-        compiled,
-        strategy,
-        good_state_3v=initial_state,
-        node_limit=node_limit,
-        variable_scheme=variable_scheme,
-    )
-    session.attach_faults(fault_set.symbolic_candidates())
-    for vector in sequence:
-        session.step(vector)
-    return SymbolicFaultSimResult(
-        fault_set,
-        session.strategy.name,
-        session.time,
-        exact=True,
-        peak_nodes=session.manager.peak_nodes,
-    )

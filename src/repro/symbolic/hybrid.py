@@ -25,7 +25,8 @@ verdict, and detection frames stay absolute across fallbacks.
 Any fallback makes the final classification conservative: faults still
 undetected might have been caught by an uninterrupted symbolic run.
 Results produced this way are flagged ``exact=False`` (the asterisks in
-Tables II and III).
+Tables II and III).  A pure symbolic run is the same algorithm with a
+limit it never reaches: ``node_limit=None``.
 """
 
 from repro.runtime.ladder import DEFAULT_FALLBACK_FRAMES, DEFAULT_NODE_LIMIT
@@ -43,9 +44,11 @@ def hybrid_fault_simulate(
 ):
     """Hybrid symbolic / three-valued fault simulation.
 
-    Mirrors :func:`repro.symbolic.fault_sim.symbolic_fault_simulate`
-    but never dies on the node limit; see the module docstring for the
-    fallback protocol.  Returns a
+    Simulates every record of *fault_set* the three-valued pass left
+    undetected or X-redundant and never dies on the node limit; see
+    the module docstring for the fallback protocol.  With
+    ``node_limit=None`` no fallback can happen and the result is the
+    exact symbolic classification.  Returns a
     :class:`~repro.runtime.campaign.CampaignResult`.
     """
     # imported here: the campaign runtime imports repro.symbolic, whose

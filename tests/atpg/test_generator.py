@@ -11,7 +11,7 @@ from repro.circuits.iscas import s27
 from repro.faults.collapse import collapse_faults
 from repro.faults.status import FaultSet
 from repro.sequences.random_seq import random_sequence_for
-from repro.symbolic.fault_sim import symbolic_fault_simulate
+from repro.symbolic.hybrid import hybrid_fault_simulate
 
 ORACLES = {
     "SOT": sot_detectable,
@@ -52,11 +52,12 @@ def test_beats_random_at_equal_length_on_counter():
         candidates=4,
     )
     fs_random = FaultSet(faults)
-    symbolic_fault_simulate(
+    hybrid_fault_simulate(
         compiled,
         random_sequence_for(compiled, len(result.sequence), seed=3),
         fs_random,
         strategy="MOT",
+        node_limit=None,
     )
     assert (
         result.fault_set.counts()["detected"]
@@ -103,3 +104,38 @@ def test_accepts_fault_set_with_preclassified_faults():
     assert fs.counts()["detected"] >= before
     # the preclassified fault kept its original attribution
     assert fs.records[0].detected_by == "3-valued"
+
+
+def test_default_node_limit_does_not_overflow_on_ctr8():
+    """Discarded candidate trials are collected after every committed
+    vector, so ctr8 stays far below the default 30k-node limit (it used
+    to raise SpaceLimitExceeded before vector 20)."""
+    compiled = compile_circuit(counter(8))
+    faults, _ = collapse_faults(compiled)
+    result = generate_mot_tests(
+        compiled, faults, max_length=20, seed=1, node_limit=30000
+    )
+    assert result.stopped is None
+    assert len(result.sequence) == 20
+
+
+def test_overflow_stops_with_the_committed_prefix():
+    compiled = compile_circuit(counter(6))
+    faults, _ = collapse_faults(compiled)
+    unlimited = generate_mot_tests(compiled, faults, max_length=5, seed=3)
+    fs = FaultSet(faults)
+    result = generate_mot_tests(
+        compiled, fs, max_length=30, seed=3, node_limit=2000
+    )
+    assert result.stopped == "node-limit"
+    assert 0 < len(result.sequence) < 5
+    assert result.sequence == unlimited.sequence[:len(result.sequence)]
+    # the overflowing round marked nothing: the verdicts are exactly
+    # those of the committed prefix
+    kept = len(result.sequence)
+    assert {
+        (r.fault.key(), r.detected_at) for r in fs.detected()
+    } == {
+        (r.fault.key(), r.detected_at)
+        for r in unlimited.fault_set.detected() if r.detected_at <= kept
+    }

@@ -12,7 +12,6 @@ from repro import (
     hybrid_fault_simulate,
     parse_bench,
     random_sequence_for,
-    symbolic_fault_simulate,
     write_bench,
 )
 from repro.circuits import get_circuit, s27
@@ -61,7 +60,8 @@ def test_three_valued_subset_of_symbolic_sot():
     fs_3v = FaultSet(faults)
     fault_simulate_3v(compiled, sequence, fs_3v)
     fs_sym = FaultSet(faults)
-    symbolic_fault_simulate(compiled, sequence, fs_sym, strategy="SOT")
+    hybrid_fault_simulate(compiled, sequence, fs_sym, strategy="SOT",
+                          node_limit=None)
     d3 = {r.fault.key() for r in fs_3v.detected()}
     ds = {r.fault.key() for r in fs_sym.detected()}
     assert d3 <= ds

@@ -28,7 +28,7 @@ from repro.engines.serial_fault_sim import fault_simulate_3v
 from repro.faults.collapse import collapse_faults
 from repro.faults.status import FaultSet
 from repro.faults.universe import enumerate_faults
-from repro.symbolic.fault_sim import symbolic_fault_simulate
+from repro.symbolic.hybrid import hybrid_fault_simulate
 from repro.xred.idxred import id_x_red
 from tests.util import random_circuit, reference_faulty_values
 
@@ -99,8 +99,8 @@ def test_strategies_match_oracle(pair):
     }
     for strategy, oracle in oracles.items():
         fs = FaultSet(faults)
-        symbolic_fault_simulate(compiled, sequence, fs,
-                                strategy=strategy)
+        hybrid_fault_simulate(compiled, sequence, fs,
+                              strategy=strategy, node_limit=None)
         got = {r.fault.key() for r in fs.detected()}
         want = {
             f.key() for f in faults if oracle(compiled, sequence, f)
@@ -130,7 +130,7 @@ def test_detection_hierarchy(pair):
     detected = {}
     for strategy in ("SOT", "rMOT", "MOT"):
         fs = FaultSet(faults)
-        symbolic_fault_simulate(compiled, sequence, fs,
-                                strategy=strategy)
+        hybrid_fault_simulate(compiled, sequence, fs,
+                              strategy=strategy, node_limit=None)
         detected[strategy] = {r.fault.key() for r in fs.detected()}
     assert detected["SOT"] <= detected["rMOT"] <= detected["MOT"]

@@ -15,7 +15,7 @@ from repro.symbolic.evaluation import (
     generate_response,
     symbolic_output_sequence,
 )
-from repro.symbolic.fault_sim import symbolic_fault_simulate
+from repro.symbolic.hybrid import hybrid_fault_simulate
 from tests.util import random_circuit
 
 
@@ -69,7 +69,8 @@ def test_mot_detected_fault_rejected_on_the_tester():
     checked = 0
     for fault in faults:
         fs = FaultSet([fault])
-        symbolic_fault_simulate(compiled, sequence, fs, strategy="MOT")
+        hybrid_fault_simulate(compiled, sequence, fs, strategy="MOT",
+                              node_limit=None)
         if fs.counts()["detected"] != 1:
             continue
         state = [rng.randrange(2) for _ in range(compiled.num_dffs)]

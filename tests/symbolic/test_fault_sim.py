@@ -10,7 +10,8 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.status import FaultSet
 from repro.logic import threeval as tv
 from repro.sequences.random_seq import random_sequence_for
-from repro.symbolic.fault_sim import SymbolicSession, symbolic_fault_simulate
+from repro.symbolic.fault_sim import SymbolicSession
+from repro.symbolic.hybrid import hybrid_fault_simulate
 
 
 def make_session(strategy="MOT", node_limit=None, circuit=None):
@@ -71,12 +72,13 @@ def test_step_is_atomic_under_space_limit():
         pytest.skip("limit never hit; lower node_limit")
 
 
-def test_snapshot_3v_roundtrip():
+def test_projection_roundtrip():
     compiled, fs, session = make_session()
     sequence = random_sequence_for(compiled, 6, seed=3)
     for vector in sequence:
         session.step(vector)
-    good_3v, diffs = session.snapshot_3v()
+    good_3v = session.project_state_3v()
+    diffs = session.snapshot_diffs(relative_to=good_3v)
     assert len(good_3v) == compiled.num_dffs
     # constants survive, non-constants become X
     for bdd, v3 in zip(session.good_state, good_3v):
@@ -112,23 +114,25 @@ def test_initial_state_mixes_constants_and_variables():
     fs = FaultSet(faults)
     # two known bits, two unknown
     initial = [0, tv.X, 1, tv.X]
-    result = symbolic_fault_simulate(
+    result = hybrid_fault_simulate(
         compiled,
         random_sequence_for(compiled, 10, seed=5),
         fs,
         strategy="MOT",
         initial_state=initial,
+        node_limit=None,
     )
-    assert result.frames_simulated == 10
+    assert result.frames_total == 10
+    assert result.exact
 
 
 def test_result_repr():
     compiled = compile_circuit(s27())
     faults, _ = collapse_faults(compiled)
     fs = FaultSet(faults)
-    result = symbolic_fault_simulate(
+    result = hybrid_fault_simulate(
         compiled, random_sequence_for(compiled, 4, seed=1), fs,
-        strategy="rMOT",
+        strategy="rMOT", node_limit=None,
     )
     assert "rMOT" in repr(result)
     assert "exact" in repr(result)

@@ -9,7 +9,6 @@ from repro.circuits.iscas import s27
 from repro.faults.collapse import collapse_faults
 from repro.faults.status import BY_3V, FaultSet
 from repro.sequences.random_seq import random_sequence_for
-from repro.symbolic.fault_sim import symbolic_fault_simulate
 from repro.symbolic.hybrid import hybrid_fault_simulate
 from tests.util import random_circuit
 
@@ -20,8 +19,8 @@ def test_no_limit_hit_equals_pure_symbolic():
     sequence = random_sequence_for(compiled, 25, seed=1)
     for strategy in ("SOT", "rMOT", "MOT"):
         fs_pure = FaultSet(faults)
-        symbolic_fault_simulate(compiled, sequence, fs_pure,
-                                strategy=strategy)
+        hybrid_fault_simulate(compiled, sequence, fs_pure,
+                              strategy=strategy, node_limit=None)
         fs_hybrid = FaultSet(faults)
         result = hybrid_fault_simulate(
             compiled, sequence, fs_hybrid, strategy=strategy
@@ -89,7 +88,8 @@ def test_hybrid_detects_at_most_pure(seed):
     faults, _ = collapse_faults(compiled)
     sequence = random_sequence_for(compiled, 10, seed=seed)
     fs_pure = FaultSet(faults)
-    symbolic_fault_simulate(compiled, sequence, fs_pure, strategy="rMOT")
+    hybrid_fault_simulate(compiled, sequence, fs_pure, strategy="rMOT",
+                          node_limit=None)
     fs_hyb = FaultSet(faults)
     hybrid_fault_simulate(
         compiled, sequence, fs_hyb, strategy="rMOT", node_limit=250,

@@ -22,7 +22,7 @@ from repro.faults.collapse import collapse_faults
 from repro.faults.status import FaultSet
 from repro.sequences.random_seq import random_sequence_for
 from repro.symbolic.detection import detection_function
-from repro.symbolic.fault_sim import symbolic_fault_simulate
+from repro.symbolic.hybrid import hybrid_fault_simulate
 from tests.util import random_circuit
 
 
@@ -57,7 +57,8 @@ def test_mot_verdict_matches_batch(seed):
     sequence = random_sequence_for(compiled, 6, seed=seed)
     for fault in faults[:30]:
         fs = FaultSet([fault])
-        symbolic_fault_simulate(compiled, sequence, fs, strategy="MOT")
+        hybrid_fault_simulate(compiled, sequence, fs, strategy="MOT",
+                              node_limit=None)
         incremental = fs.counts()["detected"] == 1
         batch = batch_detection(compiled, fault, sequence, rename=True)
         assert incremental == (batch == FALSE), fault
@@ -69,7 +70,8 @@ def test_mot_verdict_matches_batch_s27():
     sequence = random_sequence_for(compiled, 8, seed=11)
     for fault in faults:
         fs = FaultSet([fault])
-        symbolic_fault_simulate(compiled, sequence, fs, strategy="MOT")
+        hybrid_fault_simulate(compiled, sequence, fs, strategy="MOT",
+                              node_limit=None)
         incremental = fs.counts()["detected"] == 1
         batch = batch_detection(compiled, fault, sequence, rename=True)
         assert incremental == (batch == FALSE), fault.describe(compiled)
@@ -112,5 +114,6 @@ def test_rmot_detection_implies_shared_product_zero(seed):
             diff = result.next_state_diff
             state = next_state_of(compiled, values)
         fs = FaultSet([fault])
-        symbolic_fault_simulate(compiled, sequence, fs, strategy="rMOT")
+        hybrid_fault_simulate(compiled, sequence, fs, strategy="rMOT",
+                              node_limit=None)
         assert (fs.counts()["detected"] == 1) == (product == FALSE), fault

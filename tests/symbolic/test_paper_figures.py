@@ -19,7 +19,7 @@ from repro.circuits.figures import (
 from repro.experiments.figures import run_figure
 from repro.faults.model import stem_fault
 from repro.faults.status import FaultSet
-from repro.symbolic.fault_sim import symbolic_fault_simulate
+from repro.symbolic.hybrid import hybrid_fault_simulate
 
 EXPECTED = {
     # (SOT, rMOT, MOT)
@@ -39,7 +39,8 @@ def test_figures_symbolic_verdicts(factory):
     expected = EXPECTED[circuit.name]
     for strategy, want in zip(("SOT", "rMOT", "MOT"), expected):
         fs = FaultSet([fault])
-        symbolic_fault_simulate(compiled, sequence, fs, strategy=strategy)
+        hybrid_fault_simulate(compiled, sequence, fs, strategy=strategy,
+                              node_limit=None)
         assert (fs.counts()["detected"] == 1) == want, strategy
 
 

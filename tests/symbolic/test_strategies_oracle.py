@@ -20,7 +20,7 @@ from repro.circuits.iscas import s27
 from repro.faults.collapse import collapse_faults
 from repro.faults.status import FaultSet
 from repro.sequences.random_seq import random_sequence_for
-from repro.symbolic.fault_sim import symbolic_fault_simulate
+from repro.symbolic.hybrid import hybrid_fault_simulate
 from tests.util import random_circuit
 
 ORACLES = {
@@ -33,7 +33,8 @@ ORACLES = {
 def assert_all_strategies_match(compiled, faults, sequence):
     for strategy, oracle in ORACLES.items():
         fs = FaultSet(faults)
-        symbolic_fault_simulate(compiled, sequence, fs, strategy=strategy)
+        hybrid_fault_simulate(compiled, sequence, fs, strategy=strategy,
+                              node_limit=None)
         symbolic = {
             r.fault.key() for r in fs.detected()
         }
@@ -75,7 +76,8 @@ def test_detection_hierarchy_symbolically(seed):
     detected = {}
     for strategy in ("SOT", "rMOT", "MOT"):
         fs = FaultSet(faults)
-        symbolic_fault_simulate(compiled, sequence, fs, strategy=strategy)
+        hybrid_fault_simulate(compiled, sequence, fs, strategy=strategy,
+                              node_limit=None)
         detected[strategy] = {r.fault.key() for r in fs.detected()}
     assert detected["SOT"] <= detected["rMOT"] <= detected["MOT"]
 
@@ -88,12 +90,13 @@ def test_longer_sequences_detect_more(seed):
     sequence = random_sequence_for(compiled, 12, seed=seed)
     for strategy in ("SOT", "rMOT", "MOT"):
         fs_short = FaultSet(faults)
-        symbolic_fault_simulate(
-            compiled, sequence[:6], fs_short, strategy=strategy
+        hybrid_fault_simulate(
+            compiled, sequence[:6], fs_short, strategy=strategy,
+            node_limit=None,
         )
         fs_long = FaultSet(faults)
-        symbolic_fault_simulate(
-            compiled, sequence, fs_long, strategy=strategy
+        hybrid_fault_simulate(
+            compiled, sequence, fs_long, strategy=strategy, node_limit=None,
         )
         short = {r.fault.key() for r in fs_short.detected()}
         long = {r.fault.key() for r in fs_long.detected()}
@@ -117,7 +120,8 @@ def test_known_reset_state_sot_equals_concrete():
     }
     for strategy in ("SOT", "rMOT", "MOT"):
         fs = FaultSet(faults)
-        symbolic_fault_simulate(
-            compiled, sequence, fs, strategy=strategy, initial_state=reset
+        hybrid_fault_simulate(
+            compiled, sequence, fs, strategy=strategy, initial_state=reset,
+            node_limit=None,
         )
         assert {r.fault.key() for r in fs.detected()} == expected, strategy

@@ -9,15 +9,6 @@ import pytest
 import repro
 
 
-def test_all_exports_resolve():
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
-
-
-def test_version():
-    assert repro.__version__ == "1.0.0"
-
-
 PACKAGES = [
     "repro",
     "repro.circuit",
@@ -35,8 +26,24 @@ PACKAGES = [
     "repro.atpg",
     "repro.diagnosis",
     "repro.runtime",
+    "repro.runtime.fabric",
     "repro.obs",
+    "repro.audit",
+    "repro.service",
 ]
+
+
+def test_all_exports_resolve():
+    """Every name a package advertises in ``__all__`` exists: a stale
+    entry for a deleted module or function fails here."""
+    for package_name in PACKAGES:
+        package = importlib.import_module(package_name)
+        for name in package.__all__:
+            assert hasattr(package, name), f"{package_name}.{name}"
+
+
+def test_version():
+    assert repro.__version__ == "1.0.0"
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)

@@ -10,7 +10,6 @@ from repro.engines.serial_fault_sim import fault_simulate_3v
 from repro.faults.collapse import collapse_faults
 from repro.faults.status import FaultSet
 from repro.sequences.random_seq import random_sequence_for
-from repro.symbolic.fault_sim import symbolic_fault_simulate
 from repro.symbolic.hybrid import hybrid_fault_simulate
 
 
@@ -20,8 +19,9 @@ def test_empty_sequence_is_a_noop():
     fs = FaultSet(faults)
     fault_simulate_3v(compiled, [], fs)
     assert fs.counts()["detected"] == 0
-    result = symbolic_fault_simulate(compiled, [], fs, strategy="MOT")
-    assert result.frames_simulated == 0
+    result = hybrid_fault_simulate(compiled, [], fs, strategy="MOT",
+                                   node_limit=None)
+    assert result.frames_total == 0
 
 
 def test_empty_fault_set():
@@ -49,8 +49,8 @@ def test_circuit_without_flipflops():
     detected = {}
     for strategy in ("SOT", "rMOT", "MOT"):
         fs = FaultSet(faults)
-        symbolic_fault_simulate(compiled, sequence, fs,
-                                strategy=strategy)
+        hybrid_fault_simulate(compiled, sequence, fs,
+                              strategy=strategy, node_limit=None)
         detected[strategy] = {r.fault.key() for r in fs.detected()}
     assert detected["SOT"] == detected["rMOT"] == detected["MOT"]
     fs3 = FaultSet(faults)
@@ -69,8 +69,8 @@ def test_circuit_without_primary_outputs():
     sequence = [(1,), (0,), (1,)]
     for strategy in ("SOT", "rMOT", "MOT"):
         fs = FaultSet(faults)
-        symbolic_fault_simulate(compiled, sequence, fs,
-                                strategy=strategy)
+        hybrid_fault_simulate(compiled, sequence, fs,
+                              strategy=strategy, node_limit=None)
         assert fs.counts()["detected"] == 0
 
 
@@ -111,7 +111,7 @@ def test_sequence_width_mismatch_symbolic():
     faults, _ = collapse_faults(compiled)
     fs = FaultSet(faults)
     with pytest.raises((ValueError, IndexError)):
-        symbolic_fault_simulate(compiled, [(0, 1)], fs)
+        hybrid_fault_simulate(compiled, [(0, 1)], fs, node_limit=None)
 
 
 def test_duplicate_fault_records_are_independent():
