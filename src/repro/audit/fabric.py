@@ -31,7 +31,7 @@ from repro.audit.runner import (
 from repro.faults.status import FaultRecord
 from repro.runtime.errors import BudgetExceeded
 from repro.runtime.fabric.coordinator import FabricConfig, ShardFabric
-from repro.runtime.fabric.sharding import aligned_shard_size, plan_shards
+from repro.runtime.fabric.sharding import plan_shards
 
 
 def run_audit_shard(compiled, faults, sequence, indices, audit_init,
@@ -41,7 +41,8 @@ def run_audit_shard(compiled, faults, sequence, indices, audit_init,
     *audit_init* is the picklable dict from the coordinator's init
     payload: the audit options, the campaign's recorded per-fault
     states (aligned with *faults*), and the complete/exact flags.
-    The single execution path for pooled workers and inline mode.
+    Pooled workers and inline mode both reach it through
+    :func:`~repro.runtime.fabric.worker.run_task`.
     """
     options = AuditOptions.from_json(audit_init["options"])
     states = audit_init["states"]
@@ -111,14 +112,13 @@ class _AuditFabric(ShardFabric):
         return list(self._audit_indices)
 
     def _plan(self):
-        # no resume absorption and no pack alignment: audit shards are
-        # plain index ranges, sized for the pool
+        # no resume absorption: audit shards are plain index ranges.
+        # Findings are per fault, so the layout cannot change them and
+        # may follow the pool: about four shards per worker, so a
+        # straggler does not serialize the tail
         live = self._live_indices()
-        size = aligned_shard_size(
-            len(live), max(self.config.workers, 1),
-            shard_size=self.config.shard_size, align=None,
-        )
-        self._pending = plan_shards(live, size)
+        per_pool = -(-len(live) // (4 * max(self.config.workers, 1)))
+        self._pending = plan_shards(live, self.config.shard_size or per_pool)
         self.accounting.shards_planned = len(self._pending)
 
     def _init_payload(self):
@@ -138,36 +138,6 @@ class _AuditFabric(ShardFabric):
         if fresh and self._sink is not None:
             for finding_json in payload.get("findings") or ():
                 self._sink(AuditFinding.from_json(finding_json))
-
-    def _run_inline(self):
-        from repro.runtime.governor import ResourceGovernor
-
-        while self._pending:
-            self._check_stop_conditions()
-            if self._draining:
-                break
-            self._pending.sort(key=lambda s: s.shard_id)
-            shard = self._pending.pop(0)
-            opts = self._task_opts()
-            governor = ResourceGovernor(
-                deadline=opts["deadline"],
-                node_budget=opts["node_budget"],
-                fault_frame_nodes=opts["fault_frame_nodes"],
-                fault_frame_events=opts["fault_frame_events"],
-                rss_budget=opts["rss_budget"],
-                cache_budget=opts["cache_budget"],
-            )
-            try:
-                payload = run_audit_shard(
-                    self.compiled, self._faults, self.sequence,
-                    shard.indices, self._audit_init, governor=governor,
-                )
-            except Exception as exc:
-                shard.not_before = 0.0  # no backoff sleeps inline
-                self._record_crash(shard, f"{type(exc).__name__}: {exc}")
-                continue
-            self._apply_payload(shard.shard_id, shard.indices, payload)
-            self._emit_progress()
 
     def _merge(self):
         # findings already flowed through the sink per applied payload;

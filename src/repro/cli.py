@@ -176,12 +176,17 @@ def _disk_kwargs(args):
 
 
 def _fabric_kwargs(args):
-    """Shard-fabric keywords for run_campaign (empty = single-process)."""
-    if getattr(args, "workers", None) is None:
+    """Shard-fabric keywords for run_campaign (empty = single-process).
+
+    ``--shard-size`` alone runs its shards in-process (``workers=0``).
+    """
+    shard_size = getattr(args, "shard_size", None)
+    workers = getattr(args, "workers", None)
+    if workers is None and shard_size is None:
         return {}
     return {
-        "workers": args.workers,
-        "shard_size": getattr(args, "shard_size", None),
+        "workers": workers or 0,
+        "shard_size": shard_size,
         "shard_timeout": getattr(args, "shard_timeout", None),
         "max_retries": getattr(args, "max_retries", None),
         "worker_rss_cap": getattr(args, "worker_rss_cap", None),
@@ -308,15 +313,12 @@ def _resume_any(args, guard, obs):
         compiled, fault_set = _prepare(
             args.circuit or checkpoint.circuit_spec
         )
+        # no fabric option: the checkpoint's recorded configuration
+        fabric = _fabric_kwargs(args)
         config = None
-        if getattr(args, "workers", None) is not None:
-            config = FabricConfig(
-                workers=args.workers,
-                shard_size=getattr(args, "shard_size", None),
-                shard_timeout=getattr(args, "shard_timeout", None),
-                max_retries=getattr(args, "max_retries", None) or 2,
-                worker_rss_cap=getattr(args, "worker_rss_cap", None),
-            )
+        if fabric:
+            fabric["max_retries"] = fabric["max_retries"] or 2
+            config = FabricConfig(**fabric)
         obs_kwargs = obs.start(
             sharded=True,
             circuit=args.circuit or checkpoint.circuit_spec,
@@ -372,13 +374,14 @@ def cmd_campaign(args):
             else:
                 compiled, fault_set = _prepare(args.circuit)
                 sequence = _get_sequence(compiled, args)
+                fabric_kwargs = _fabric_kwargs(args)
                 obs_kwargs = obs.start(
-                    sharded=args.workers is not None,
+                    sharded=bool(fabric_kwargs),
                     circuit=args.circuit,
                     strategy=args.strategy,
                     frames=len(sequence),
                     seed=None if args.sequence else args.seed,
-                    workers=args.workers,
+                    workers=fabric_kwargs.get("workers"),
                 )
                 result = run_campaign(
                     compiled, sequence, fault_set,
@@ -392,7 +395,7 @@ def cmd_campaign(args):
                     circuit_spec=args.circuit,
                     **_disk_kwargs(args),
                     **obs_kwargs,
-                    **_fabric_kwargs(args),
+                    **fabric_kwargs,
                     **_audit_kwargs(args),
                 )
     finally:
@@ -416,10 +419,11 @@ def cmd_simulate(args):
         ("SOT", "rMOT", "MOT") if args.strategy == "all"
         else (args.strategy,)
     )
+    fabric_kwargs = _fabric_kwargs(args)
     if len(strategies) > 1 and (
         args.deadline is not None
         or args.checkpoint
-        or args.workers is not None
+        or fabric_kwargs
         or args.audit != "off"
         or args.rss_budget is not None
         or args.cache_budget is not None
@@ -433,12 +437,12 @@ def cmd_simulate(args):
     compiled, fault_set = _prepare(args.circuit)
     sequence = _get_sequence(compiled, args)
     obs_kwargs = obs.start(
-        sharded=args.workers is not None,
+        sharded=bool(fabric_kwargs),
         circuit=args.circuit,
         strategy=args.strategy,
         frames=len(sequence),
         seed=None if args.sequence else args.seed,
-        workers=args.workers,
+        workers=fabric_kwargs.get("workers"),
     )
     try:
         with SignalGuard() as guard:
@@ -456,7 +460,7 @@ def cmd_simulate(args):
                     pre_pass_3v=index == 0,
                     **_disk_kwargs(args),
                     **obs_kwargs,
-                    **_fabric_kwargs(args),
+                    **fabric_kwargs,
                     **_audit_kwargs(args),
                 )
                 if result.stopped != "completed":
@@ -715,11 +719,16 @@ def build_parser():
 
     def _add_fabric_options(p):
         p.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="run on a pool of N worker processes "
-                            "(0 = sharded but in-process)")
+                       help="run the shards on a pool of N worker "
+                            "processes (0 = in-process); never changes "
+                            "the shard plan or the verdicts")
         p.add_argument("--shard-size", type=int, default=None,
                        metavar="FAULTS",
-                       help="faults per shard (default: auto)")
+                       help="faults per shard (default: one shard, the "
+                            "paper's single group); smaller shards can "
+                            "run in parallel and, on circuits that "
+                            "overflow the node limit, trade time for "
+                            "coverage")
         p.add_argument("--shard-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="kill and retry a shard running longer "

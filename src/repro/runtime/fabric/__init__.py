@@ -21,7 +21,6 @@ from repro.runtime.fabric.coordinator import (
 )
 from repro.runtime.fabric.sharding import (
     Shard,
-    aligned_shard_size,
     plan_shards,
     shard_id_text,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "FabricConfig",
     "Shard",
     "ShardFabric",
-    "aligned_shard_size",
     "load_fabric_checkpoint",
     "plan_shards",
     "resume_sharded_campaign",

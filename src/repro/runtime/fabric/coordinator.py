@@ -4,9 +4,13 @@
 shards (:mod:`.sharding`), runs them on a pool of worker processes
 (:mod:`.worker`) and merges the per-fault verdicts back into the master
 :class:`~repro.faults.status.FaultSet` deterministically (sorted by
-shard id, never by completion order).  Sharding is exact: fault
-simulation is per-fault independent, so the merged verdicts of an
-undegraded run are identical to a single-process run.
+shard id, never by completion order).  The shard plan depends on the
+live faults and ``shard_size`` alone: the default is one shard holding
+every live fault, the paper's single OBDD group, so the merged verdicts
+equal the single-process campaign's.  An explicit ``shard_size`` splits
+the group, which changes verdicts only on circuits that overflow the
+node limit (see :mod:`.sharding`).  The worker count decides who
+computes a shard, never what it computes.
 
 Failure handling, from mildest to worst:
 
@@ -29,12 +33,14 @@ Failure handling, from mildest to worst:
   raised rather than spinning.
 
 The governor's budgets are apportioned: each dispatch hands the worker
-the *remaining* wall-clock deadline and an equal share of the node
-budget.  Completed shards are absorbed into a crash-safe checkpoint
-the moment they land, so a killed coordinator resumes with partial
-progress (:func:`resume_sharded_campaign`).  ``SIGINT`` and ``SIGTERM``
-(both via :class:`~repro.runtime.checkpoint.SignalGuard`) drain the
-pool identically and gracefully: no new dispatches, in-flight shards
+the *remaining* wall-clock deadline and a share of the node budget
+that is left (see :meth:`ShardFabric._task_opts`), so the shards
+together stay within the budget.  Completed shards are absorbed into a
+crash-safe checkpoint the moment they land, so a killed coordinator
+resumes with partial progress (:func:`resume_sharded_campaign`).
+``SIGINT`` and ``SIGTERM`` (both via
+:class:`~repro.runtime.checkpoint.SignalGuard`) drain the pool
+identically and gracefully: no new dispatches, in-flight shards
 finish, a partial result is returned with ``stopped == "signal"``.
 Workers ignore both signals themselves, so a signal delivered to the
 whole process group (Ctrl-C in a terminal, ``systemctl stop``, a
@@ -61,12 +67,14 @@ from repro.runtime.fabric.checkpoint import (
     load_fabric_checkpoint,
 )
 from repro.runtime.fabric.frames import FrameProtocolError, FrameReader
-from repro.runtime.fabric.sharding import (
-    aligned_shard_size,
-    plan_shards,
-    shard_id_text,
+from repro.runtime.fabric.sharding import plan_shards, shard_id_text
+from repro.runtime.fabric.worker import (
+    WorkerPipes,
+    _make_observability,
+    run_task,
+    task_governor,
+    worker_main,
 )
-from repro.runtime.fabric.worker import WorkerPipes, run_shard, worker_main
 from repro.runtime.governor import ResourceGovernor
 from repro.runtime.ladder import DegradationLadder
 
@@ -113,7 +121,6 @@ class FabricConfig:
         self,
         workers=2,
         shard_size=None,
-        pack_width=256,
         shard_timeout=None,
         heartbeat_timeout=None,
         heartbeat_interval=0.05,
@@ -132,9 +139,13 @@ class FabricConfig:
             raise ValueError("workers must be >= 0 (0 = inline)")
         if max_retries < 1:
             raise ValueError("max_retries must be >= 1")
+        if shard_size is not None and shard_size < 1:
+            raise ValueError("shard_size must be >= 1 (None = one shard)")
         self.workers = workers
+        #: faults per shard; None plans one shard holding every live
+        #: fault (the paper's single group).  Never derived from
+        #: ``workers``: the plan decides verdicts, the pool only speed
         self.shard_size = shard_size
-        self.pack_width = pack_width
         self.shard_timeout = shard_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.heartbeat_interval = heartbeat_interval
@@ -183,7 +194,6 @@ class FabricConfig:
         return {
             "workers": self.workers,
             "shard_size": self.shard_size,
-            "pack_width": self.pack_width,
             "shard_timeout": self.shard_timeout,
             "heartbeat_timeout": self.heartbeat_timeout,
             "hang_grace": self.hang_grace,
@@ -201,8 +211,8 @@ class _WorkerHandle:
     """
 
     __slots__ = ("worker_id", "process", "cmd", "reader", "shard",
-                 "dispatched_at", "last_beat", "last_rss", "killing",
-                 "ready")
+                 "node_grant", "dispatched_at", "last_beat", "last_rss",
+                 "killing", "ready")
 
     def __init__(self, worker_id, process, cmd, reader):
         self.worker_id = worker_id
@@ -210,6 +220,7 @@ class _WorkerHandle:
         self.cmd = cmd
         self.reader = reader
         self.shard = None  # in-flight Shard, if busy
+        self.node_grant = 0  # node budget handed to the in-flight shard
         self.dispatched_at = None
         self.last_beat = None
         self.last_rss = None  # bytes, from the latest heartbeat
@@ -399,17 +410,7 @@ class ShardFabric:
     def _plan(self):
         covered, next_ordinal = self._absorb_resume()
         live = [i for i in self._live_indices() if i not in covered]
-        align = (
-            self.config.pack_width
-            if self.pre_pass_3v
-            or any(not rung.symbolic for rung in self.ladder.rungs)
-            else None
-        )
-        size = aligned_shard_size(
-            len(live), max(self.config.workers, 1),
-            shard_size=self.config.shard_size, align=align,
-        )
-        shards = plan_shards(live, size)
+        shards = plan_shards(live, self.config.shard_size)
         for shard in shards:
             shard.shard_id = (shard.shard_id[0] + next_ordinal,)
         self._pending = shards
@@ -531,19 +532,32 @@ class ShardFabric:
             return None
 
     def _task_opts(self):
-        """Apportion the governor's budgets for one dispatch."""
+        """Apportion the governor's budgets for one dispatch.
+
+        The shard gets the remaining deadline.  Of the node budget it
+        gets what is left, after the nodes finished shards reported and
+        the grants of running shards, split over the free slots that
+        have a shard to take (at least 1 node).  Inline there is one
+        slot and nothing in flight, so a shard gets all that is left.
+        """
         deadline = None
         if self.governor.deadline is not None:
             deadline = max(self.governor.deadline - self.governor.elapsed(),
                            0.0)
-        node_share = None
+        node_grant = None
         if self.governor.node_budget is not None:
-            node_share = max(
-                self.governor.node_budget // max(self.config.workers, 1), 1
+            busy = [h for h in self._handles.values() if h.busy]
+            left = (
+                self.governor.node_budget - self._worker_nodes
+                - sum(h.node_grant for h in busy)
             )
+            # the shard being dispatched has already left _pending
+            free_slots = min(self.config.workers - len(busy),
+                             len(self._pending) + 1)
+            node_grant = max(left // max(free_slots, 1), 1)
         return {
             "deadline": deadline,
-            "node_budget": node_share,
+            "node_budget": node_grant,
             "fault_frame_nodes": self.governor.fault_frame_nodes,
             "fault_frame_events": self.governor.fault_frame_events,
             # per-process limits: every worker owns its whole RSS, so
@@ -555,6 +569,7 @@ class ShardFabric:
     def _dispatch(self, handle, shard):
         opts = self._task_opts()
         handle.shard = shard
+        handle.node_grant = opts["node_budget"] or 0
         handle.dispatched_at = _time.monotonic()
         handle.last_beat = handle.dispatched_at
         handle.cmd.send(("run", shard.shard_id, shard.indices, opts))
@@ -931,38 +946,19 @@ class ShardFabric:
             self._shutdown_pool()
 
     def _run_inline(self):
-        """``workers=0``: same sharding/merge path, no processes."""
-        from repro.runtime.fabric.worker import _make_observability
-
+        """``workers=0``: the pool's shard path, run in this process."""
+        init = self._init_payload()
         while self._pending:
             self._check_stop_conditions()
             if self._draining:
                 break
             self._pending.sort(key=lambda s: s.shard_id)
             shard = self._pending.pop(0)
-            opts = self._task_opts()
-            if self.governor.node_budget is not None:
-                # sequential execution: each shard gets what is left of
-                # the whole budget, not a per-worker slice
-                opts["node_budget"] = max(
-                    self.governor.node_budget - self._worker_nodes, 1
-                )
-            governor = ResourceGovernor(
-                deadline=opts["deadline"],
-                node_budget=opts["node_budget"],
-                fault_frame_nodes=opts["fault_frame_nodes"],
-                fault_frame_events=opts["fault_frame_events"],
-                rss_budget=opts["rss_budget"],
-                cache_budget=opts["cache_budget"],
-            )
-            tracer, registry = _make_observability(
-                {"observe": self._observe}
-            )
+            tracer, registry = _make_observability(init)
             try:
-                payload = run_shard(
-                    self.compiled, self._faults, self.sequence,
-                    shard.indices, self._campaign_kwargs(),
-                    governor=governor, tracer=tracer, metrics=registry,
+                payload = run_task(
+                    init, shard.indices, task_governor(self._task_opts()),
+                    tracer, registry,
                 )
             except Exception as exc:
                 shard.not_before = 0.0  # no backoff sleeps inline
@@ -979,19 +975,6 @@ class ShardFabric:
                 stopped=payload["stopped"],
             )
             self._emit_progress()
-
-    def _campaign_kwargs(self):
-        return {
-            "ladder": self.ladder,
-            "node_limit": self.node_limit,
-            "checkpoint_path": None,
-            "checkpoint_every": 1,
-            "fallback_frames": self.fallback_frames,
-            "initial_state": self.initial_state,
-            "variable_scheme": self.variable_scheme,
-            "xred": self.xred,
-            "pre_pass_3v": self.pre_pass_3v,
-        }
 
     # ------------------------------------------------------------------
     # observability
@@ -1237,20 +1220,13 @@ def run_sharded_campaign(compiled, sequence, fault_set, **kwargs):
     """
     # the fabric checkpoints every completed shard, not every N frames
     kwargs.pop("checkpoint_every", None)
-    config = kwargs.pop("config", None)
-    if config is None:
-        config_fields = {}
-        for name in ("workers", "shard_size", "shard_timeout",
-                     "heartbeat_timeout", "max_retries", "worker_rss_cap"):
-            if name in kwargs and kwargs[name] is not None:
-                config_fields[name] = kwargs.pop(name)
-            else:
-                kwargs.pop(name, None)
-        config = FabricConfig(**config_fields)
-    else:
-        for name in ("workers", "shard_size", "shard_timeout",
-                     "heartbeat_timeout", "max_retries", "worker_rss_cap"):
-            kwargs.pop(name, None)
+    fields = {}
+    for name in ("workers", "shard_size", "shard_timeout",
+                 "heartbeat_timeout", "max_retries", "worker_rss_cap"):
+        value = kwargs.pop(name, None)
+        if value is not None:
+            fields[name] = value
+    config = kwargs.pop("config", None) or FabricConfig(**fields)
     return ShardFabric(compiled, sequence, fault_set,
                        config=config, **kwargs).run()
 

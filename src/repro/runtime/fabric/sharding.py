@@ -4,16 +4,19 @@ A *shard* is a slice of the campaign's live fault universe, identified
 by the indices of its faults in the canonical fault order (the order of
 the master :class:`~repro.faults.status.FaultSet`).  Each shard runs a
 campaign of its own, and the merge takes every fault's verdict from its
-shard.  As long as no shard overflows the OBDD node limit, this is
-exact: a fault's verdict does not depend on which faults share its
-shard.  Once a shard overflows, the fallback applies to that shard's
-whole group (the faults share one manager), so a smaller shard
-overflows later and keeps more faults symbolic.  On circuits that
-overflow, the shard size, and through :func:`aligned_shard_size` the
-worker count, therefore changes the detected count (see item 1 of
-ROADMAP.md: ``mac10 --length 60`` detects 17 serially and 78 with
-``--workers 2``).  With the shard plan held fixed, the verdicts are the
-same for any worker count.
+shard.
+
+The faults of one shard share one OBDD manager, and an overflow of the
+node limit is evidence about that whole group: the paper's fallback
+turns the group three-valued.  The grouping is therefore part of the
+algorithm, and it is decided here from two inputs only, the live fault
+indices and ``shard_size``.  ``shard_size=None`` plans one shard holding
+every live fault, the paper's single group, so the fabric's default
+plan gives the verdicts of the serial campaign.  An explicit size is
+kept exactly; a smaller group overflows later and keeps more faults
+symbolic, which is a coverage-for-time choice the caller makes.  The
+worker count never enters the plan: for a fixed plan the verdicts are
+the same on any number of workers, inline or pooled.
 
 Shard ids are tuples of ints: a planned shard is ``(3,)``, the halves
 a poison shard is bisected into are ``(3, 0)`` and ``(3, 1)``, and so
@@ -62,26 +65,12 @@ class Shard:
         )
 
 
-def aligned_shard_size(live_count, workers, shard_size=None, align=None):
-    """Pick (or validate) a shard size.
+def plan_shards(indices, shard_size=None):
+    """Slice *indices* into :class:`Shard`\\ s of at most *shard_size*.
 
-    With no explicit *shard_size* the planner aims for a few shards per
-    worker, so a straggler does not serialize the tail of the sweep.
-    When *align* is given (the word-parallel engine's ``pack_width``)
-    and the size exceeds it, the size is rounded down to a multiple, so
-    shards do not fragment packs.
+    ``shard_size=None`` plans one shard holding every index.
     """
-    if shard_size is None:
-        per_worker_shards = 4
-        shard_size = -(-live_count // max(workers * per_worker_shards, 1))
-    shard_size = max(int(shard_size), 1)
-    if align and shard_size > align:
-        shard_size -= shard_size % align
-    return shard_size
-
-
-def plan_shards(indices, shard_size):
-    """Slice *indices* into :class:`Shard`\\ s of at most *shard_size*."""
+    shard_size = shard_size or max(len(indices), 1)
     return [
         Shard((ordinal,), indices[start : start + shard_size])
         for ordinal, start in enumerate(range(0, len(indices), shard_size))

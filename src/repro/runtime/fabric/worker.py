@@ -3,9 +3,10 @@
 A worker is one OS process owning a :class:`WorkerPipes` pair — a
 blocking command pipe in, a report pipe out (which the coordinator
 reads through a partial-frame-tolerant deframer).  It receives shard
-tasks from the coordinator, runs each as an ordinary in-process
-:class:`~repro.runtime.campaign.Campaign` over just that shard's
-faults, and reports back:
+tasks from the coordinator, runs each through :func:`run_task` (an
+ordinary in-process :class:`~repro.runtime.campaign.Campaign` over just
+that shard's faults, or an audit shard), the same function the
+coordinator's inline mode calls, and reports back:
 
 * ``("ready", worker_id, pid)`` — once, after start-up,
 * ``("heartbeat", worker_id, shard_id, frame, rss, metrics_delta)`` —
@@ -163,10 +164,7 @@ def run_shard(compiled, faults, sequence, indices, campaign_kwargs,
     """Run one shard in-process and return its result payload.
 
     *indices* select the shard's faults out of the canonical *faults*
-    order; the returned ``"states"`` list is aligned with them.  This
-    is the single execution path shared by pooled workers and the
-    fabric's inline (``workers=0``) mode, so both are tested by the
-    same code.
+    order; the returned ``"states"`` list is aligned with them.
 
     *tracer* (a canonical ``wall=False`` :class:`~repro.obs.tracer.
     Tracer` over a :class:`~repro.obs.tracer.ListSink`) and *metrics*
@@ -252,7 +250,44 @@ def _make_observability(init):
     return Tracer(ListSink(TRACE_RECORD_CAP), wall=False), MetricsRegistry()
 
 
-def _campaign_kwargs(init, opts):
+def task_governor(opts, heartbeat=None, heartbeat_interval=None):
+    """The governor of one shard task.
+
+    *opts* are the budgets the coordinator apportioned for the dispatch
+    (``ShardFabric._task_opts``; its keys are the governor's budget
+    keywords).  Given a *heartbeat*, as in a pool worker, it is a
+    :class:`WorkerGovernor` whose checks double as liveness beats.
+    """
+    if heartbeat is None:
+        return ResourceGovernor(**opts)
+    return WorkerGovernor(heartbeat, heartbeat_interval, **opts)
+
+
+def run_task(init, indices, governor, tracer=None, metrics=None):
+    """Run one shard task and return its result payload.
+
+    The task is a campaign, or a witness-replay audit when
+    ``init["task"] == "audit"``; *init* is the coordinator's init
+    payload.  Pool workers and the fabric's inline mode (``workers=0``)
+    both run every shard through here, so both are tested by the same
+    code.
+    """
+    if init.get("task") == "audit":
+        from repro.audit.fabric import run_audit_shard
+
+        return run_audit_shard(
+            init["compiled"], init["faults"], init["sequence"], indices,
+            init["audit"], governor=governor, tracer=tracer,
+            metrics=metrics,
+        )
+    return run_shard(
+        init["compiled"], init["faults"], init["sequence"], indices,
+        _campaign_kwargs(init), governor=governor, tracer=tracer,
+        metrics=metrics,
+    )
+
+
+def _campaign_kwargs(init):
     return {
         "ladder": DegradationLadder.from_json(init["ladder"]),
         "node_limit": init["node_limit"],
@@ -293,9 +328,7 @@ def worker_main(worker_id, pipes, init):
     # behave identically pooled and inline; policy counters restart
     # per process (a respawned worker re-fires a ``once`` site)
     _failpoints.configure(init.get("failpoints") or "", replace=True)
-    compiled = init["compiled"]
     faults = init["faults"]
-    sequence = init["sequence"]
     heartbeat_interval = init.get("heartbeat_interval", 0.05)
     chaos = init.get("chaos")
     try:
@@ -326,33 +359,9 @@ def worker_main(worker_id, pipes, init):
                 if _failpoints.fire("fabric.heartbeat.dup"):
                     pipes.send(beat)
 
-            governor = WorkerGovernor(
-                heartbeat,
-                heartbeat_interval,
-                deadline=opts.get("deadline"),
-                node_budget=opts.get("node_budget"),
-                fault_frame_nodes=opts.get("fault_frame_nodes"),
-                fault_frame_events=opts.get("fault_frame_events"),
-                rss_budget=opts.get("rss_budget"),
-                cache_budget=opts.get("cache_budget"),
-            )
+            governor = task_governor(opts, heartbeat, heartbeat_interval)
             try:
-                if init.get("task") == "audit":
-                    # witness-replay audit shard: same pool, same
-                    # liveness/retry machinery, different task body
-                    from repro.audit.fabric import run_audit_shard
-
-                    payload = run_audit_shard(
-                        compiled, faults, sequence, indices,
-                        init["audit"], governor=governor,
-                        tracer=tracer, metrics=registry,
-                    )
-                else:
-                    payload = run_shard(
-                        compiled, faults, sequence, indices,
-                        _campaign_kwargs(init, opts), governor=governor,
-                        tracer=tracer, metrics=registry,
-                    )
+                payload = run_task(init, indices, governor, tracer, registry)
             except Exception as exc:  # deterministic shard failure
                 pipes.send(
                     ("error", worker_id, shard_id,

@@ -224,51 +224,39 @@ class JobExecutor:
         return result, compiled, sequence, fault_set
 
     def _resume(self, job, checkpoint_path, compiled, governor):
-        """Resume either checkpoint flavor; None if not resumable."""
+        """Resume the job's fabric checkpoint; None if not resumable.
+
+        Every job runs on the shard fabric, so a file of any other
+        flavor in the job directory is unusable like a torn one.
+        """
         spec = job.spec
         from repro.faults.collapse import collapse_faults
+        from repro.runtime.fabric import (
+            FabricConfig,
+            load_fabric_checkpoint,
+            resume_sharded_campaign,
+        )
 
         faults, _ = collapse_faults(compiled)
         fault_set = FaultSet(faults)
         try:
-            kind = sniff_checkpoint_kind(checkpoint_path)
-            if kind == "fabric":
-                from repro.runtime.fabric import (
-                    FabricConfig,
-                    load_fabric_checkpoint,
-                    resume_sharded_campaign,
-                )
-
-                checkpoint = load_fabric_checkpoint(checkpoint_path)
-                sequence = checkpoint.sequence
-                result = resume_sharded_campaign(
-                    checkpoint_path,
-                    compiled=compiled,
-                    fault_set=fault_set,
-                    governor=governor,
-                    signal_guard=job.guard,
-                    config=FabricConfig(
-                        workers=spec.workers,
-                        shard_size=spec.shard_size,
-                        max_retries=spec.max_retries or 2,
-                    ),
-                    progress_hook=self._progress_hook(job),
-                )
-            else:
-                from repro.runtime.campaign import resume_campaign
-                from repro.runtime.checkpoint import load_checkpoint
-
-                checkpoint = load_checkpoint(checkpoint_path)
-                sequence = checkpoint.sequence
-                result = resume_campaign(
-                    checkpoint_path,
-                    compiled=compiled,
-                    fault_set=fault_set,
-                    governor=governor,
-                    checkpoint_every=spec.checkpoint_every,
-                    signal_guard=job.guard,
-                    progress_hook=self._progress_hook(job),
-                )
+            if sniff_checkpoint_kind(checkpoint_path) != "fabric":
+                return None
+            checkpoint = load_fabric_checkpoint(checkpoint_path)
+            sequence = checkpoint.sequence
+            result = resume_sharded_campaign(
+                checkpoint_path,
+                compiled=compiled,
+                fault_set=fault_set,
+                governor=governor,
+                signal_guard=job.guard,
+                config=FabricConfig(
+                    workers=spec.workers,
+                    shard_size=spec.shard_size,
+                    max_retries=spec.max_retries or 2,
+                ),
+                progress_hook=self._progress_hook(job),
+            )
         except CheckpointError:
             return None
         return result, compiled, sequence, fault_set

@@ -24,7 +24,10 @@ class JobSpecError(ValueError):
 #: in-process — is the default execution mode: shard-level checkpoints
 #: make restart recovery *exact* (re-running a shard reproduces its
 #: verdicts), which is what lets the service promise byte-identical
-#: results across a crash.
+#: results across a crash.  ``shard_size=None`` is one shard, the
+#: paper's single group, so a default job gives ``repro campaign``'s
+#: verdicts and restarts from the beginning; a job that wants
+#: shard-grain restart or parallel speed sets ``shard_size``.
 _FIELDS = {
     "circuit": (str, None),
     "strategy": (str, "MOT"),
@@ -35,7 +38,7 @@ _FIELDS = {
     "deadline": ((int, float), None),
     "node_budget": (int, None),
     "workers": (int, 0),
-    "shard_size": (int, 16),
+    "shard_size": (int, None),
     "max_retries": (int, None),
     "checkpoint_every": (int, 10),
     "fallback_frames": (int, 5),

@@ -405,3 +405,41 @@ def test_sharded_cli_trace_is_reproducible(tmp_path, capsys):
     assert traces[0] == traces[1]
     first = json.loads(traces[0].decode().splitlines()[0])
     assert first["source"] == "fabric"
+
+
+def test_shard_size_alone_runs_shards_in_process(capsys):
+    # --shard-size without --workers is a fabric run at workers=0, the
+    # same verdicts as the explicit inline pool
+    reports = []
+    for extra in ((), ("--workers", "0")):
+        code, out = run(
+            capsys, "campaign", "ctr16", "--length", "20",
+            "--node-limit", "5000", "--shard-size", "8", "--json", *extra,
+        )
+        assert code == 0
+        reports.append(json.loads(out))
+    alone, inline = reports
+    assert alone["runtime"]["fabric"]["shards_planned"] == 25
+    assert alone["runtime"]["fabric"]["workers"] == 0
+    assert alone["detected"] == inline["detected"]
+    assert alone["faults"] == inline["faults"]
+
+
+def test_shard_size_alone_applies_on_fabric_resume(tmp_path, capsys):
+    full = tmp_path / "full.ckpt"
+    code, _out = run(
+        capsys, "campaign", "ctr8", "--length", "30", "--shard-size", "25",
+        "--checkpoint", str(full),
+    )
+    assert code == 0
+    # keep the header and the first finished shard: 75 faults remain
+    partial = tmp_path / "partial.ckpt"
+    partial.write_text("".join(full.read_text().splitlines(True)[:2]))
+    code, out = run(
+        capsys, "campaign", "--resume", str(partial), "--shard-size", "5",
+        "--json",
+    )
+    assert code == 0
+    fabric = json.loads(out)["runtime"]["fabric"]
+    assert fabric["resumed_shards"] == 1
+    assert fabric["shards_planned"] == 1 + 75 // 5

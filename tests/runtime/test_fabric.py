@@ -1,8 +1,9 @@
 """Shard fabric: exactness, crash recovery, bisection, resume.
 
-The fabric's core contract is that sharding never changes a result:
-every test here ultimately compares fault statuses against the
-single-process campaign.  The failure-path tests use the deterministic
+The fabric's core contract is that the worker count never changes a
+result: the default plan (one shard) gives the single-process
+campaign's verdicts, and a fixed explicit plan gives the same verdicts
+inline and on any pool.  The failure-path tests use the deterministic
 chaos hooks (``FabricConfig.chaos``) and the events observability hook
 to kill real worker processes at precise moments.
 """
@@ -21,7 +22,7 @@ from repro.runtime import ResourceGovernor, run_campaign
 from repro.runtime.errors import CheckpointError
 from repro.runtime.fabric import (
     FabricConfig,
-    aligned_shard_size,
+    ShardFabric,
     load_fabric_checkpoint,
     plan_shards,
     resume_sharded_campaign,
@@ -86,14 +87,30 @@ def test_plan_shards_partitions_without_overlap():
     assert [i for s in shards for i in s.indices] == list(range(10))
 
 
-def test_aligned_shard_size_respects_pack_alignment():
-    # size above the pack width is rounded down to a multiple
-    assert aligned_shard_size(4096, 2, align=256) % 256 == 0
-    # tiny universes still get a sane size
-    assert aligned_shard_size(3, 8) >= 1
-    assert aligned_shard_size(0, 2) >= 1
-    # explicit sizes are validated, not silently replaced
-    assert aligned_shard_size(100, 2, shard_size=7) == 7
+def test_plan_depends_only_on_indices_and_shard_size(s27_setup):
+    live = list(range(3, 1003, 2))
+
+    def layout(shard_size):
+        return [(s.shard_id, s.indices) for s in plan_shards(live, shard_size)]
+
+    # the default is one shard holding every live fault
+    assert layout(None) == [((0,), live)]
+    assert plan_shards([], None) == []
+    # an explicit size is kept exactly, also above a pack width of 256
+    assert [len(s) for s in plan_shards(live, 300)] == [300, 200]
+
+    # the fabric plans the same shards whatever the pool size
+    compiled, sequence = s27_setup
+    for shard_size in (None, 5):
+        plans = []
+        for workers in (0, 1, 4):
+            fabric = ShardFabric(
+                compiled, sequence, fresh_faults(compiled),
+                config=FabricConfig(workers=workers, shard_size=shard_size),
+            )
+            fabric._plan()
+            plans.append([(s.shard_id, s.indices) for s in fabric._pending])
+        assert plans[0] == plans[1] == plans[2]
 
 
 # ----------------------------------------------------------------------
@@ -120,6 +137,58 @@ def test_fabric_matches_on_larger_circuit(ctr8_setup):
     result = run_campaign(compiled, sequence, fault_set, workers=2)
     assert signature(fault_set) == expected
     assert result.stopped == "completed"
+
+
+# ----------------------------------------------------------------------
+# overflow: the shard plan is part of the algorithm, the pool is not
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def ctr16_overflow():
+    """ctr16 at a 5k-node limit overflows within 20 frames."""
+    compiled = compile_circuit(get_circuit("ctr16"))
+    return compiled, random_sequence_for(compiled, 20, seed=1)
+
+
+def overflow_run(setup, **kwargs):
+    compiled, sequence = setup
+    fault_set = fresh_faults(compiled)
+    result = run_campaign(
+        compiled, sequence, fault_set, node_limit=5000, **kwargs
+    )
+    return signature(fault_set), result
+
+
+def test_default_plan_gives_serial_verdicts_on_overflow(ctr16_overflow):
+    expected, serial = overflow_run(ctr16_overflow)
+    assert serial.fallbacks > 0  # the group really overflows
+    for workers in (0, 1, 2):
+        got, result = overflow_run(ctr16_overflow, workers=workers)
+        assert got == expected, f"workers={workers}"
+        assert result.fallbacks > 0
+        assert result.runtime_summary()["fabric"]["shards_planned"] == 1
+
+
+def test_fixed_plan_gives_same_verdicts_on_any_pool(ctr16_overflow):
+    signatures = {}
+    for workers in (0, 1, 2):
+        signatures[workers], result = overflow_run(
+            ctr16_overflow, workers=workers, shard_size=8
+        )
+        assert result.fallbacks > 0
+    assert signatures[0] == signatures[1] == signatures[2]
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_node_budget_holds_across_shards(workers):
+    compiled = compile_circuit(get_circuit("ctr8"))
+    sequence = random_sequence_for(compiled, 100, seed=1)
+    result = run_campaign(
+        compiled, sequence, fresh_faults(compiled),
+        governor=ResourceGovernor(node_budget=20000),
+        workers=workers, shard_size=16,
+    )
+    assert result.stopped == "nodes"
+    assert result.budget["nodes_allocated"] <= 1.01 * 20000
 
 
 def test_empty_shard_returns_canonical_payload(s27_setup):
@@ -400,6 +469,8 @@ def test_fabric_config_validation():
         FabricConfig(workers=-1)
     with pytest.raises(ValueError):
         FabricConfig(max_retries=0)
+    with pytest.raises(ValueError):
+        FabricConfig(shard_size=0)
 
 
 def test_fabric_accounting_in_runtime_summary(s27_setup):

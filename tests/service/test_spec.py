@@ -10,7 +10,7 @@ def test_minimal_spec_gets_defaults():
     assert spec.strategy == "MOT"
     assert spec.length == 100
     assert spec.workers == 0  # inline-sharded: exact crash recovery
-    assert spec.shard_size == 16
+    assert spec.shard_size is None  # one group: `repro campaign` verdicts
     assert spec.xred is True
     assert spec.deadline is None
 
